@@ -146,7 +146,6 @@ pub fn router(
         replicas: opts.replicas.max(1),
         vnodes: opts.vnodes.max(1),
         probe_interval_ms: opts.probe_interval_ms.max(1),
-        ..RouterConfig::default()
     };
     let handle = fpm_router::spawn(config).map_err(|e| format!("bind {addr}: {e}"))?;
     on_ready(handle.addr, &handle);

@@ -23,10 +23,11 @@
 //!   counters and latency histograms (bucket-wise, exact) and reports
 //!   per-shard health.
 //!
-//! Like the serve crate, this is dependency-free: std-only networking on
-//! the same poll(2) shim, threads for upstream connections and health
-//! probes. See [`server`] for the architecture and [`server::spawn`] to
-//! embed a router in-process (the `fpm router` CLI wraps exactly that).
+//! Like the serve crate, this is dependency-free: the client side runs on
+//! the serve crate's connection core ([`fpm_serve::conn`]), with threads
+//! for upstream connections and health probes. See [`server`] for the
+//! architecture and [`server::spawn`] to embed a router in-process (the
+//! `fpm router` CLI wraps exactly that).
 
 #![forbid(unsafe_code)]
 

@@ -1,22 +1,20 @@
-//! The router daemon: a nonblocking poll(2) event loop on the client
-//! side, a small pool of blocking upstream connections per shard, and the
-//! routing/replication/failover logic in between.
+//! The router daemon: the routing/replication/failover handler on
+//! `fpm-serve`'s connection core ([`fpm_serve::conn`]), plus a small pool
+//! of blocking upstream connections per shard.
 //!
 //! # Architecture
 //!
-//! The client-facing side is the same single-threaded event-loop design
-//! as `fpm-serve`'s server (same poll shim, same per-connection state
-//! machine with ordered response slots, pipelining and drain semantics).
-//! The loop never blocks on a shard: forwarding hands the raw request
-//! line to a per-shard upstream worker (a thread owning one blocking
-//! [`fpm_serve::Client`] connection), and the worker posts the raw reply
-//! line back through a channel plus self-wake pipe — exactly how the
-//! serve loop hands solves to its worker pool.
+//! The client side is the connection core (pipelining, in-order replies,
+//! drain). The handler never blocks on a shard: forwarding hands the raw
+//! request line to a per-shard upstream worker (a thread owning one
+//! blocking [`fpm_serve::Client`] connection), and the worker posts the
+//! raw reply line back through the core's [`Completer`] — exactly how the
+//! serve daemon hands solves to its worker pool.
 //!
 //! ```text
-//!  clients ──poll(2) loop──▶ slot queue ──▶ per-shard job queues
+//!  clients ──conn core──▶ slot queue ──▶ per-shard job queues
 //!                ▲                               │ (N upstream conns each)
-//!                │ waker + completion channel    ▼
+//!                │ Completer (channel + wake)    ▼
 //!                └────────────────────────── shard workers ──TCP──▶ fpm-serve
 //! ```
 //!
@@ -61,13 +59,10 @@
 //! issue dependent requests after the fan-out's reply, as the tests do.
 
 use std::collections::HashMap;
-use std::collections::VecDeque;
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read, Write};
+use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::thread::JoinHandle;
@@ -76,26 +71,26 @@ use std::time::{Duration, Instant};
 use crate::metrics::RouterMetrics;
 use crate::ring::{HashRing, DEFAULT_VNODES};
 use fpm_serve::client::{Client, SHARD_UNAVAILABLE};
+use fpm_serve::conn::{self, Completer, Conn, Handler, Line, ReplyAddr};
 use fpm_serve::json::{Json, JsonRef, JsonStr};
-use fpm_serve::metrics::{Counters, HistogramSnapshot};
-use fpm_serve::poll as sys;
+use fpm_serve::metrics::{elapsed_us, Counters, HistogramSnapshot};
 use fpm_serve::protocol::{
-    parse_id_ref, parse_report_target_ref, parse_target_ref, ClusterRefView, ProtoError,
-    MAX_FRAME_BYTES,
+    display_id, parse_report_target_ref, parse_target_ref, render_err, render_ok_head,
+    ClusterRefView, ProtoError,
 };
 
-/// How long a draining router waits for in-flight legs and final writes.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-/// Poll tick while draining, so grace expiry is noticed promptly.
-const DRAIN_TICK_MS: i32 = 25;
-/// Read chunk size for client sockets.
-const READ_CHUNK: usize = 64 * 1024;
-/// Compact the write buffer once this many flushed bytes accumulate.
-const WBUF_COMPACT: usize = 64 * 1024;
 /// How long a worker waits on its job queue before re-checking shutdown.
 const WORKER_TICK: Duration = Duration::from_millis(100);
 /// TCP connect bound for upstream workers and probes.
 const UPSTREAM_CONNECT: Duration = Duration::from_secs(1);
+/// Upstream connections (worker threads) per shard.
+const UPSTREAM_CONNS: usize = 4;
+/// Read timeout on shard replies.
+const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(30);
+/// First reconnect-probe delay after a shard goes down.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Reconnect-probe delay cap.
+const BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -109,16 +104,8 @@ pub struct RouterConfig {
     pub replicas: usize,
     /// Virtual nodes per shard on the hash ring.
     pub vnodes: usize,
-    /// Upstream connections (worker threads) per shard.
-    pub upstream_conns: usize,
-    /// Read timeout on shard replies, milliseconds.
-    pub upstream_timeout_ms: u64,
     /// Health-probe interval while a shard is healthy, milliseconds.
     pub probe_interval_ms: u64,
-    /// First reconnect-probe delay after a shard goes down, milliseconds.
-    pub backoff_base_ms: u64,
-    /// Reconnect-probe delay cap, milliseconds.
-    pub backoff_cap_ms: u64,
 }
 
 impl Default for RouterConfig {
@@ -128,11 +115,7 @@ impl Default for RouterConfig {
             shards: Vec::new(),
             replicas: 2,
             vnodes: DEFAULT_VNODES,
-            upstream_conns: 4,
-            upstream_timeout_ms: 30_000,
             probe_interval_ms: 250,
-            backoff_base_ms: 50,
-            backoff_cap_ms: 2_000,
         }
     }
 }
@@ -245,40 +228,16 @@ impl RouterHandle {
     }
 }
 
+/// A shard's raw reply line, or the transport error in its place.
+type Reply = Result<String, ProtoError>;
+
 /// A job handed to a shard's upstream workers.
 enum UpJob {
     /// Round-trip `line` and post the raw reply to the event loop.
     Request { line: String, addr: ReplyAddr },
-    /// Fire-and-forget (shutdown broadcast): best-effort send, reply
-    /// read and dropped.
+    /// Fire-and-forget (shutdown broadcast, catch-up replay): best-effort
+    /// send, reply read and dropped.
     Fire { line: String },
-}
-
-/// Where a completed upstream leg is delivered.
-#[derive(Clone, Copy)]
-struct ReplyAddr {
-    conn: u64,
-    seq: u64,
-    part: usize,
-}
-
-/// A finished upstream leg posted back to the event loop.
-struct UpDone {
-    conn: u64,
-    seq: u64,
-    part: usize,
-    result: Result<String, ProtoError>,
-}
-
-/// Write end of the self-wake pipe, cloned into workers.
-#[derive(Clone)]
-struct Waker(Arc<UnixStream>);
-
-impl Waker {
-    fn wake(&self) {
-        // Nonblocking: a full pipe already guarantees a pending wake-up.
-        let _ = (&*self.0).write(&[1u8]);
-    }
 }
 
 /// Starts the router; returns once the listener is bound. Fails fast on
@@ -291,13 +250,8 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
         ));
     }
     let listener = TcpListener::bind(config.addr)?;
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
-    let (wake_tx, wake_rx) = UnixStream::pair()?;
-    wake_tx.set_nonblocking(true)?;
-    wake_rx.set_nonblocking(true)?;
-    let waker = Waker(Arc::new(wake_tx));
-    let (done_tx, done_rx) = mpsc::channel::<UpDone>();
+    let (completer, completions) = conn::completion_channel::<Reply>()?;
 
     let ring = HashRing::new(config.shards.len(), config.vnodes.max(1));
     let mut shards = Vec::with_capacity(config.shards.len());
@@ -308,25 +262,27 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
         queues.push(Arc::new(Mutex::new(rx)));
     }
     let shared = Arc::new(Shared {
-        config: config.clone(),
+        config,
         ring,
         shards,
         metrics: RouterMetrics::new(),
         stopping: AtomicBool::new(false),
         catchup: Mutex::new(HashMap::new()),
     });
+    // Jobs queue up until the workers below start draining them.
+    let handler = RouteHandler { shared: Arc::clone(&shared), aliases: HashMap::new() };
+    let driver = conn::spawn("fpm-router-loop", listener, completions, handler)?;
 
     let mut side_threads = Vec::new();
     for (i, queue) in queues.into_iter().enumerate() {
-        for w in 0..config.upstream_conns.max(1) {
+        for w in 0..UPSTREAM_CONNS {
             let queue = Arc::clone(&queue);
             let shared = Arc::clone(&shared);
-            let done_tx = done_tx.clone();
-            let waker = waker.clone();
+            let completer = completer.clone();
             side_threads.push(
                 std::thread::Builder::new()
                     .name(format!("fpm-router-up-{i}-{w}"))
-                    .spawn(move || upstream_worker(i, queue, shared, done_tx, waker))
+                    .spawn(move || upstream_worker(i, queue, shared, completer))
                     .expect("spawn upstream worker"),
             );
         }
@@ -338,24 +294,6 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
                 .expect("spawn prober"),
         );
     }
-
-    let loop_shared = Arc::clone(&shared);
-    let driver = std::thread::Builder::new()
-        .name("fpm-router-loop".into())
-        .spawn(move || {
-            EventLoop {
-                listener,
-                shared: loop_shared,
-                waker_rx: wake_rx,
-                done_rx,
-                conns: HashMap::new(),
-                next_conn: 0,
-                read_chunk: vec![0u8; READ_CHUNK],
-                aliases: HashMap::new(),
-            }
-            .run()
-        })
-        .expect("spawn event-loop thread");
     Ok(RouterHandle { addr, shared, driver: Some(driver), side_threads })
 }
 
@@ -368,12 +306,15 @@ fn upstream_worker(
     shard: usize,
     queue: Arc<Mutex<mpsc::Receiver<UpJob>>>,
     shared: Arc<Shared>,
-    done_tx: mpsc::Sender<UpDone>,
-    waker: Waker,
+    completer: Completer<Reply>,
 ) {
-    let read_timeout = Duration::from_millis(shared.config.upstream_timeout_ms.max(1));
     let mut client: Option<Client> = None;
     let mut reply = String::with_capacity(512);
+    let post = |addr: Option<ReplyAddr>, result: Reply| {
+        if let Some(addr) = addr {
+            completer.complete(addr, result);
+        }
+    };
     loop {
         let job = {
             let rx = queue.lock().expect("queue lock");
@@ -398,30 +339,25 @@ fn upstream_worker(
         // timeouts while a replica could answer now.
         if client.is_none() {
             if !shared.shards[shard].healthy.load(Ordering::SeqCst) {
-                post(&done_tx, &waker, addr, Err(unavailable(&shared, shard, "marked down")));
+                post(addr, Err(unavailable(&shared, shard, "marked down")));
                 continue;
             }
             match Client::connect_timeout(
                 shared.shards[shard].addr,
                 Some(UPSTREAM_CONNECT),
-                read_timeout,
+                UPSTREAM_TIMEOUT,
             ) {
                 Ok(c) => client = Some(c),
                 Err(e) => {
                     shared.mark_down(shard);
-                    post(
-                        &done_tx,
-                        &waker,
-                        addr,
-                        Err(unavailable(&shared, shard, &e.to_string())),
-                    );
+                    post(addr, Err(unavailable(&shared, shard, &e.to_string())));
                     continue;
                 }
             }
         }
         let conn = client.as_mut().expect("connected above");
         match conn.request_line(&line, &mut reply) {
-            Ok(()) => post(&done_tx, &waker, addr, Ok(reply.clone())),
+            Ok(()) => post(addr, Ok(reply.clone())),
             Err(e) => {
                 // Any failed round-trip abandons the connection: a
                 // half-read reply would desynchronise the pairing.
@@ -429,21 +365,9 @@ fn upstream_worker(
                 if e.code == SHARD_UNAVAILABLE {
                     shared.mark_down(shard);
                 }
-                post(&done_tx, &waker, addr, Err(e));
+                post(addr, Err(e));
             }
         }
-    }
-}
-
-fn post(
-    done_tx: &mpsc::Sender<UpDone>,
-    waker: &Waker,
-    addr: Option<ReplyAddr>,
-    result: Result<String, ProtoError>,
-) {
-    if let Some(ReplyAddr { conn, seq, part }) = addr {
-        let _ = done_tx.send(UpDone { conn, seq, part, result });
-        waker.wake();
     }
 }
 
@@ -456,12 +380,10 @@ fn unavailable(shared: &Shared, shard: usize, detail: &str) -> ProtoError {
 
 /// Per-shard health probe: pings on a fixed interval while the shard is
 /// healthy; while it is down, retries with exponential backoff from
-/// `backoff_base_ms` up to `backoff_cap_ms` and flips the shard back to
+/// [`BACKOFF_BASE`] up to [`BACKOFF_CAP`] and flips the shard back to
 /// healthy on the first successful pong.
 fn prober(shard: usize, shared: Arc<Shared>) {
     let interval = Duration::from_millis(shared.config.probe_interval_ms.max(1));
-    let base = Duration::from_millis(shared.config.backoff_base_ms.max(1));
-    let cap = Duration::from_millis(shared.config.backoff_cap_ms.max(1)).max(base);
     let mut delay = interval;
     loop {
         // Sleep in short slices so shutdown joins promptly even from the
@@ -492,523 +414,71 @@ fn prober(shard: usize, shared: Arc<Shared>) {
             delay = interval;
         } else {
             shared.mark_down(shard);
-            delay = (delay * 2).clamp(base, cap);
+            delay = (delay * 2).clamp(BACKOFF_BASE, BACKOFF_CAP);
         }
     }
 }
 
-// --- response slots ------------------------------------------------------
+// --- the request handler -------------------------------------------------
 
-/// What a response slot is waiting for.
-enum SlotState {
-    /// Fully rendered (trailing newline included), awaiting its turn.
-    Ready(String),
+/// What a pending reply slot waits for.
+enum Leg {
     /// One forwarded request with failover: `candidates[tried]` is the
     /// shard currently asked.
     Forward { raw: String, candidates: Vec<usize>, tried: usize },
-    /// A fan-out (`register`/`report`) to every shard in `legs`; the
-    /// reply preference is route order (owner first). `register_raw`
-    /// carries the raw line of a `register` (None for `report`) so an
-    /// acknowledged registration enters the replica catch-up store.
+    /// A fan-out (`register`/`report`), one result per replica leg in
+    /// route order (owner first). `register_raw` carries the raw line of
+    /// a `register` (None for `report`) so an acknowledged registration
+    /// enters the replica catch-up store.
     FanOut {
         key: String,
-        legs: Vec<usize>,
-        results: Vec<Option<Result<String, ProtoError>>>,
+        results: Vec<Option<Reply>>,
         remaining: usize,
         register_raw: Option<String>,
     },
     /// `cluster_stats`: one stats leg per shard.
-    ClusterStats {
-        results: Vec<Option<Result<String, ProtoError>>>,
-        remaining: usize,
-    },
+    ClusterStats { results: Vec<Option<Reply>>, remaining: usize },
 }
 
-/// An ordered response slot (strict request-order replies per connection).
-struct Slot {
-    seq: u64,
-    id: Option<Json>,
-    started: Instant,
-    state: SlotState,
-}
-
-impl Slot {
-    fn ready(text: String) -> Self {
-        Slot { seq: 0, id: None, started: Instant::now(), state: SlotState::Ready(text) }
-    }
-}
-
-/// Per-connection state (same shape as the serve loop's).
-struct Conn {
-    stream: TcpStream,
-    rbuf: Vec<u8>,
-    scanned: usize,
-    wbuf: Vec<u8>,
-    wpos: usize,
-    scratch: String,
-    pending: VecDeque<Slot>,
-    next_seq: u64,
-    eof: bool,
-    closing: bool,
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            rbuf: Vec::with_capacity(4096),
-            scanned: 0,
-            wbuf: Vec::with_capacity(4096),
-            wpos: 0,
-            scratch: String::with_capacity(256),
-            pending: VecDeque::new(),
-            next_seq: 1,
-            eof: false,
-            closing: false,
-            dead: false,
-        }
-    }
-
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    fn with_out(&mut self, render: impl FnOnce(&mut String)) {
-        if self.pending.is_empty() {
-            self.scratch.clear();
-            render(&mut self.scratch);
-            self.scratch.push('\n');
-            self.wbuf.extend_from_slice(self.scratch.as_bytes());
-        } else {
-            let mut out = String::new();
-            render(&mut out);
-            out.push('\n');
-            self.pending.push_back(Slot::ready(out));
-        }
-    }
-
-    fn pump(&mut self) {
-        while matches!(self.pending.front().map(|s| &s.state), Some(SlotState::Ready(_))) {
-            let slot = self.pending.pop_front().expect("front checked");
-            let SlotState::Ready(text) = slot.state else { unreachable!() };
-            self.wbuf.extend_from_slice(text.as_bytes());
-        }
-    }
-
-    fn try_write(&mut self) {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        } else if self.wpos >= WBUF_COMPACT {
-            self.wbuf.drain(..self.wpos);
-            self.wpos = 0;
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.pending.is_empty() && self.wpos >= self.wbuf.len()
-    }
-}
-
-// --- the event loop ------------------------------------------------------
-
-struct EventLoop {
-    listener: TcpListener,
+/// The router's request logic.
+struct RouteHandler {
     shared: Arc<Shared>,
-    waker_rx: UnixStream,
-    done_rx: mpsc::Receiver<UpDone>,
-    conns: HashMap<u64, Conn>,
-    next_conn: u64,
-    read_chunk: Vec<u8>,
     /// `fingerprint → routing key` learned from register/report replies,
     /// so fingerprint-addressed requests land on the shard set that holds
     /// the model. Only the loop thread touches it.
     aliases: HashMap<String, String>,
 }
 
-impl EventLoop {
-    fn run(&mut self) {
-        let mut fds: Vec<sys::PollFd> = Vec::new();
-        let mut ids: Vec<u64> = Vec::new();
-        let mut stop_at: Option<Instant> = None;
-        loop {
-            let stopping = self.shared.stopping.load(Ordering::SeqCst);
-            if stopping && stop_at.is_none() {
-                stop_at = Some(Instant::now() + DRAIN_GRACE);
-                for conn in self.conns.values_mut() {
-                    conn.eof = true;
-                    conn.closing = true;
-                }
-            }
-            self.conns.retain(|_, conn| !(conn.dead || conn.closing && conn.flushed()));
-            if stopping
-                && (self.conns.is_empty() || stop_at.is_some_and(|t| Instant::now() >= t))
-            {
-                return;
-            }
+impl Handler for RouteHandler {
+    type Pending = Leg;
+    type Done = Reply;
 
-            fds.clear();
-            ids.clear();
-            fds.push(sys::PollFd {
-                fd: self.listener.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
-            fds.push(sys::PollFd {
-                fd: self.waker_rx.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
-            for (&id, conn) in &self.conns {
-                let mut events = 0i16;
-                if !conn.eof {
-                    events |= sys::POLLIN;
-                }
-                if conn.wpos < conn.wbuf.len() {
-                    events |= sys::POLLOUT;
-                }
-                fds.push(sys::PollFd { fd: conn.stream.as_raw_fd(), events, revents: 0 });
-                ids.push(id);
-            }
-
-            sys::poll_fds(&mut fds, if stopping { DRAIN_TICK_MS } else { -1 });
-
-            if fds[1].revents != 0 {
-                self.drain_waker();
-            }
-            self.drain_completions();
-            if fds[0].revents != 0 {
-                self.accept_ready(stopping);
-            }
-            for (i, &id) in ids.iter().enumerate() {
-                let revents = fds[i + 2].revents;
-                if revents & sys::POLLNVAL != 0 {
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.dead = true;
-                    }
-                } else if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
-                    self.read_ready(id);
-                }
-            }
-            for conn in self.conns.values_mut() {
-                conn.pump();
-                if conn.wpos < conn.wbuf.len() {
-                    conn.try_write();
-                }
-            }
-        }
+    fn stopping(&self) -> bool {
+        self.shared.stopping.load(Ordering::SeqCst)
     }
 
-    fn drain_waker(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.waker_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
+    fn on_accept(&self) {
+        self.shared.metrics.inc(&self.shared.metrics.connections);
     }
 
-    fn accept_ready(&mut self, stopping: bool) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stopping {
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    stream.set_nodelay(true).ok();
-                    self.shared.metrics.inc(&self.shared.metrics.connections);
-                    let id = self.next_conn;
-                    self.next_conn += 1;
-                    self.conns.insert(id, Conn::new(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
+    fn on_request(&self) {
+        self.shared.metrics.inc(&self.shared.metrics.requests);
     }
 
-    /// Routes finished upstream legs into their slots, driving failover
-    /// and fan-out/stats assembly.
-    fn drain_completions(&mut self) {
-        while let Ok(done) = self.done_rx.try_recv() {
-            let Some(conn) = self.conns.get_mut(&done.conn) else {
-                continue; // connection gone
-            };
-            let Some(idx) = conn.pending.iter().position(|s| s.seq == done.seq) else {
-                continue; // slot already answered
-            };
-            let m = &self.shared.metrics;
-            let slot = &mut conn.pending[idx];
-            let state = std::mem::replace(&mut slot.state, SlotState::Ready(String::new()));
-            match state {
-                ready @ SlotState::Ready(_) => slot.state = ready,
-                SlotState::Forward { raw, candidates, tried } => {
-                    // A reply from a draining shard is a failover trigger,
-                    // not an answer: the client never asked that shard to
-                    // stop.
-                    let result = match done.result {
-                        Ok(line) if is_shutting_down_reply(&line) => Err(ProtoError::new(
-                            SHARD_UNAVAILABLE,
-                            "shard is draining",
-                        )),
-                        other => other,
-                    };
-                    match result {
-                        Ok(mut line) => {
-                            m.forward_latency.record(elapsed_us(slot.started));
-                            line.push('\n');
-                            slot.state = SlotState::Ready(line);
-                        }
-                        Err(e) if e.code == SHARD_UNAVAILABLE && tried + 1 < candidates.len() => {
-                            m.inc(&m.failovers);
-                            let next = candidates[tried + 1];
-                            let job = UpJob::Request {
-                                line: raw.clone(),
-                                addr: ReplyAddr { conn: done.conn, seq: done.seq, part: 0 },
-                            };
-                            if self.shared.shards[next].jobs.send(job).is_ok() {
-                                slot.state =
-                                    SlotState::Forward { raw, candidates, tried: tried + 1 };
-                            } else {
-                                m.inc(&m.errors);
-                                m.inc(&m.failover_exhausted);
-                                let mut out = String::new();
-                                render_err(&mut out, display_id(slot.id.as_ref()), &e);
-                                out.push('\n');
-                                slot.state = SlotState::Ready(out);
-                            }
-                        }
-                        Err(e) => {
-                            m.inc(&m.errors);
-                            if e.code == SHARD_UNAVAILABLE {
-                                m.inc(&m.failover_exhausted);
-                            }
-                            let mut out = String::new();
-                            render_err(&mut out, display_id(slot.id.as_ref()), &e);
-                            out.push('\n');
-                            slot.state = SlotState::Ready(out);
-                        }
-                    }
-                }
-                SlotState::FanOut { key, legs, mut results, mut remaining, register_raw } => {
-                    if done.part < results.len() && results[done.part].is_none() {
-                        let result = match done.result {
-                            Ok(line) if is_shutting_down_reply(&line) => Err(ProtoError::new(
-                                SHARD_UNAVAILABLE,
-                                "shard is draining",
-                            )),
-                            other => other,
-                        };
-                        results[done.part] = Some(result);
-                        remaining -= 1;
-                    }
-                    if remaining == 0 {
-                        let rendered = finish_fanout(
-                            &mut self.aliases,
-                            &self.shared,
-                            &key,
-                            register_raw.as_deref(),
-                            &results,
-                            slot.id.as_ref(),
-                        );
-                        slot.state = SlotState::Ready(rendered);
-                    } else {
-                        slot.state = SlotState::FanOut {
-                            key,
-                            legs,
-                            results,
-                            remaining,
-                            register_raw,
-                        };
-                    }
-                }
-                SlotState::ClusterStats { mut results, mut remaining } => {
-                    if done.part < results.len() && results[done.part].is_none() {
-                        results[done.part] = Some(done.result);
-                        remaining -= 1;
-                    }
-                    if remaining == 0 {
-                        let mut out = String::new();
-                        render_cluster_stats(
-                            &self.shared,
-                            &mut out,
-                            display_id(slot.id.as_ref()),
-                            &results,
-                        );
-                        out.push('\n');
-                        slot.state = SlotState::Ready(out);
-                    } else {
-                        slot.state = SlotState::ClusterStats { results, remaining };
-                    }
-                }
-            }
-        }
+    fn on_error(&self) {
+        self.shared.metrics.inc(&self.shared.metrics.errors);
     }
 
-    fn read_ready(&mut self, id: u64) {
-        let Some(mut conn) = self.conns.remove(&id) else { return };
-        if !conn.eof {
-            loop {
-                match conn.stream.read(&mut self.read_chunk) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        conn.closing = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.extend_from_slice(&self.read_chunk[..n]);
-                        if n < self.read_chunk.len() {
-                            break;
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        conn.eof = true;
-                        conn.closing = true;
-                        break;
-                    }
-                }
-            }
-            self.process_lines(id, &mut conn);
-        }
-        self.conns.insert(id, conn);
-    }
-
-    /// Drains every complete line in the read buffer (pipelining), plus a
-    /// final partial line on EOF — identical framing to the serve loop.
-    fn process_lines(&mut self, id: u64, conn: &mut Conn) {
-        let rbuf = std::mem::take(&mut conn.rbuf);
-        let mut consumed = 0usize;
-        let mut search = conn.scanned;
-        let mut halted = false;
-        while let Some(off) = rbuf[search..].iter().position(|&b| b == b'\n') {
-            let nl = search + off;
-            if nl + 1 - consumed > MAX_FRAME_BYTES {
-                self.framing_error(conn);
-                halted = true;
-                break;
-            }
-            let keep_serving = self.handle_line(id, conn, &rbuf[consumed..nl]);
-            consumed = nl + 1;
-            search = consumed;
-            if !keep_serving {
-                halted = true;
-                break;
-            }
-        }
-        let mut keep = rbuf;
-        if halted {
-            keep.clear();
-            conn.scanned = 0;
-        } else if conn.eof {
-            if consumed < keep.len() {
-                self.handle_line(id, conn, &keep[consumed..]);
-            }
-            keep.clear();
-            conn.scanned = 0;
-        } else {
-            keep.drain(..consumed);
-            conn.scanned = keep.len();
-            if keep.len() > MAX_FRAME_BYTES {
-                self.framing_error(conn);
-                keep.clear();
-                conn.scanned = 0;
-            }
-        }
-        conn.rbuf = keep;
-    }
-
-    fn framing_error(&self, conn: &mut Conn) {
+    fn handle(&mut self, conn: &mut Conn<Leg>, line: Line<'_>) -> bool {
         let m = &self.shared.metrics;
-        m.inc(&m.errors);
-        let e = ProtoError::new("frame_too_large", "request line exceeds 1 MiB");
-        conn.with_out(|out| render_err(out, None, &e));
-        conn.eof = true;
-        conn.closing = true;
-    }
-
-    /// Parses and dispatches one request line. Returns false when this
-    /// line must be the last served on the connection.
-    fn handle_line(&mut self, conn_id: u64, conn: &mut Conn, raw: &[u8]) -> bool {
-        let text = String::from_utf8_lossy(raw);
-        let line = text.trim();
-        if line.is_empty() {
-            return true;
-        }
-        let m = &self.shared.metrics;
-        m.inc(&m.requests);
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            m.inc(&m.errors);
-            let e = ProtoError::new("shutting_down", "server is draining");
-            conn.with_out(|out| render_err(out, None, &e));
-            conn.eof = true;
-            conn.closing = true;
-            return false;
-        }
-        let value = match Json::parse_ref(line) {
-            Ok(v) => v,
-            Err(e) => {
-                m.inc(&m.errors);
-                let e = ProtoError::new("bad_json", e.to_string());
-                conn.with_out(|out| render_err(out, None, &e));
-                return true;
-            }
-        };
-        let id = match parse_id_ref(&value) {
-            Ok(id) => id,
-            Err(e) => {
-                m.inc(&m.errors);
-                conn.with_out(|out| render_err(out, None, &e));
-                return true;
-            }
-        };
-        let disp: Option<&dyn fmt::Display> = id.map(|v| v as &dyn fmt::Display);
-        if !matches!(value, JsonRef::Obj(_)) {
-            m.inc(&m.errors);
-            let e = ProtoError::new("bad_request", "request must be a JSON object");
-            conn.with_out(|out| render_err(out, disp, &e));
-            return true;
-        }
-        let Some(verb) = value.get("verb").and_then(JsonRef::as_str) else {
-            m.inc(&m.errors);
-            let e = ProtoError::new("bad_request", "missing string field: verb");
-            conn.with_out(|out| render_err(out, disp, &e));
-            return true;
-        };
-        match verb {
+        let disp = line.display_id();
+        match line.verb {
             "ping" => {
                 m.inc(&m.ping_requests);
                 conn.with_out(|out| {
                     render_ok_head(out, disp, "ping");
                     out.push_str(",\"pong\":true}");
                 });
-                true
             }
             "stats" => {
                 m.inc(&m.stats_requests);
@@ -1018,12 +488,10 @@ impl EventLoop {
                     render_ok_head(out, disp, "stats");
                     let _ = write!(out, ",\"stats\":{snapshot},\"shards\":{health}}}");
                 });
-                true
             }
             "cluster_stats" => {
                 m.inc(&m.cluster_stats_requests);
-                self.start_cluster_stats(conn_id, conn, id);
-                true
+                self.start_cluster_stats(conn, &line);
             }
             "shutdown" => {
                 m.inc(&m.shutdown_requests);
@@ -1038,54 +506,108 @@ impl EventLoop {
                     render_ok_head(out, disp, "shutdown");
                     out.push_str(",\"draining\":true}");
                 });
-                conn.eof = true;
-                conn.closing = true;
-                false
+                conn.close_after_flush();
+                return false;
             }
-            "register" => {
-                let Some(cluster) = value.get("cluster").and_then(JsonRef::as_str) else {
-                    m.inc(&m.errors);
-                    let e = ProtoError::new("bad_request", "missing string field: cluster");
-                    conn.with_out(|out| render_err(out, disp, &e));
-                    return true;
-                };
-                let key = cluster.to_owned();
-                self.start_fanout(conn_id, conn, id, line, key, true);
-                true
-            }
-            "report" => match parse_report_target_ref(&value) {
+            "register" => match line.value.get("cluster").and_then(JsonRef::as_str) {
+                Some(cluster) => self.start_fanout(conn, &line, cluster.to_owned(), true),
+                None => self.fail(
+                    conn,
+                    disp,
+                    &ProtoError::new("bad_request", "missing string field: cluster"),
+                ),
+            },
+            "report" => match parse_report_target_ref(line.value) {
                 Ok(target) => {
                     let key = self.routing_key(target);
-                    self.start_fanout(conn_id, conn, id, line, key, false);
-                    true
+                    self.start_fanout(conn, &line, key, false);
+                }
+                Err(e) => self.fail(conn, disp, &e),
+            },
+            "partition" | "partition_batch" => match parse_target_ref(line.value) {
+                Ok(target) => {
+                    let key = self.routing_key(target);
+                    self.start_forward(conn, &line, &key);
+                }
+                Err(e) => self.fail(conn, disp, &e),
+            },
+            other => self.fail(
+                conn,
+                disp,
+                &ProtoError::new("unknown_verb", format!("unknown verb: {other:?}")),
+            ),
+        }
+        true
+    }
+
+    /// Drives failover and fan-out/stats assembly as legs come back.
+    fn complete(
+        &mut self,
+        addr: ReplyAddr,
+        done: Reply,
+        leg: &mut Leg,
+        id: Option<&Json>,
+        started: Instant,
+    ) -> Option<String> {
+        let m = &self.shared.metrics;
+        match leg {
+            Leg::Forward { raw, candidates, tried } => match draining_as_unavailable(done) {
+                Ok(line) => {
+                    m.forward_latency.record(elapsed_us(started));
+                    Some(line)
+                }
+                Err(e) if e.code == SHARD_UNAVAILABLE && *tried + 1 < candidates.len() => {
+                    m.inc(&m.failovers);
+                    *tried += 1;
+                    let job =
+                        UpJob::Request { line: raw.clone(), addr: ReplyAddr { part: 0, ..addr } };
+                    if self.shared.shards[candidates[*tried]].jobs.send(job).is_ok() {
+                        return None;
+                    }
+                    m.inc(&m.errors);
+                    m.inc(&m.failover_exhausted);
+                    Some(err_line(id, &e))
                 }
                 Err(e) => {
                     m.inc(&m.errors);
-                    conn.with_out(|out| render_err(out, disp, &e));
-                    true
+                    if e.code == SHARD_UNAVAILABLE {
+                        m.inc(&m.failover_exhausted);
+                    }
+                    Some(err_line(id, &e))
                 }
             },
-            "partition" | "partition_batch" => match parse_target_ref(&value) {
-                Ok(target) => {
-                    let key = self.routing_key(target);
-                    self.start_forward(conn_id, conn, id, line, &key);
-                    true
+            Leg::FanOut { key, results, remaining, register_raw } => {
+                if let Some(slot @ None) = results.get_mut(addr.part) {
+                    *slot = Some(draining_as_unavailable(done));
+                    *remaining -= 1;
                 }
-                Err(e) => {
-                    m.inc(&m.errors);
-                    conn.with_out(|out| render_err(out, disp, &e));
-                    true
+                (*remaining == 0).then(|| {
+                    finish_fanout(
+                        &mut self.aliases,
+                        &self.shared,
+                        key,
+                        register_raw.as_deref(),
+                        results,
+                        id,
+                    )
+                })
+            }
+            Leg::ClusterStats { results, remaining } => {
+                if let Some(slot @ None) = results.get_mut(addr.part) {
+                    *slot = Some(done);
+                    *remaining -= 1;
                 }
-            },
-            other => {
-                m.inc(&m.errors);
-                let e = ProtoError::new("unknown_verb", format!("unknown verb: {other:?}"));
-                conn.with_out(|out| render_err(out, disp, &e));
-                true
+                (*remaining == 0).then(|| {
+                    let mut out = String::new();
+                    render_cluster_stats(&self.shared, &mut out, display_id(id), results);
+                    out
+                })
             }
         }
     }
+}
 
+impl RouteHandler {
     /// The consistent-hash key for a cluster reference: names route as
     /// themselves; fingerprints route as the name they were learned under
     /// (or as the raw fingerprint, which a shard then answers `not_found`
@@ -1101,14 +623,7 @@ impl EventLoop {
 
     /// Forwards one raw line to the owner of `key`, with the replica set
     /// queued as failover candidates.
-    fn start_forward(
-        &self,
-        conn_id: u64,
-        conn: &mut Conn,
-        id: Option<&JsonRef<'_>>,
-        line: &str,
-        key: &str,
-    ) {
+    fn start_forward(&self, conn: &mut Conn<Leg>, line: &Line<'_>, key: &str) {
         let m = &self.shared.metrics;
         m.inc(&m.forwarded);
         let candidates = self.shared.ring.route(key, self.shared.config.replicas);
@@ -1123,128 +638,75 @@ impl EventLoop {
         if live.is_empty() {
             live = candidates;
         }
-        let seq = conn.take_seq();
-        let raw = line.to_owned();
-        let job = UpJob::Request {
-            line: raw.clone(),
-            addr: ReplyAddr { conn: conn_id, seq, part: 0 },
-        };
-        conn.pending.push_back(Slot {
-            seq,
-            id: id.map(JsonRef::to_json),
-            started: Instant::now(),
-            state: SlotState::Forward { raw, candidates: live.clone(), tried: 0 },
-        });
+        let addr = conn.next_addr();
+        let raw = line.text.to_owned();
+        let job = UpJob::Request { line: raw.clone(), addr };
         if self.shared.shards[live[0]].jobs.send(job).is_err() {
             // Worker pool gone (shutdown race): answer directly.
-            let slot = conn.pending.back_mut().expect("just pushed");
-            m.inc(&m.errors);
-            let mut out = String::new();
-            render_err(
-                &mut out,
-                display_id(slot.id.as_ref()),
-                &ProtoError::new("shutting_down", "router is draining"),
-            );
-            out.push('\n');
-            slot.state = SlotState::Ready(out);
+            let e = ProtoError::new("shutting_down", "router is draining");
+            return self.fail(conn, line.display_id(), &e);
         }
+        let leg = Leg::Forward { raw, candidates: live, tried: 0 };
+        conn.push_pending(addr, line.id, line.started, leg);
+    }
+
+    /// Sends `text` to every shard in `legs` as part `i` of the slot at
+    /// `addr`; a leg that cannot be queued (shutdown race) fails at once.
+    fn send_legs(&self, legs: &[usize], text: &str, addr: ReplyAddr) -> Vec<Option<Reply>> {
+        legs.iter()
+            .enumerate()
+            .map(|(part, &shard)| {
+                let job =
+                    UpJob::Request { line: text.to_owned(), addr: ReplyAddr { part, ..addr } };
+                match self.shared.shards[shard].jobs.send(job) {
+                    Ok(()) => None,
+                    Err(_) => Some(Err(ProtoError::new("shutting_down", "router is draining"))),
+                }
+            })
+            .collect()
     }
 
     /// Fans one raw line out to the owner plus replicas of `key`.
     /// `register` marks a registration whose line feeds the replica
     /// catch-up store once a shard acknowledges it.
-    fn start_fanout(
-        &mut self,
-        conn_id: u64,
-        conn: &mut Conn,
-        id: Option<&JsonRef<'_>>,
-        line: &str,
-        key: String,
-        register: bool,
-    ) {
+    fn start_fanout(&mut self, conn: &mut Conn<Leg>, line: &Line<'_>, key: String, register: bool) {
         let m = &self.shared.metrics;
         m.inc(&m.fanouts);
         let legs = self.shared.ring.route(&key, self.shared.config.replicas);
-        let seq = conn.take_seq();
-        let mut results: Vec<Option<Result<String, ProtoError>>> = Vec::new();
-        let mut remaining = 0usize;
-        for (part, &shard) in legs.iter().enumerate() {
-            m.inc(&m.fanout_legs);
-            let job = UpJob::Request {
-                line: line.to_owned(),
-                addr: ReplyAddr { conn: conn_id, seq, part },
-            };
-            if self.shared.shards[shard].jobs.send(job).is_ok() {
-                results.push(None);
-                remaining += 1;
-            } else {
-                results.push(Some(Err(ProtoError::new(
-                    "shutting_down",
-                    "router is draining",
-                ))));
-            }
-        }
-        let register_raw = register.then(|| line.to_owned());
+        m.fanout_legs.fetch_add(legs.len() as u64, Ordering::Relaxed);
+        let addr = conn.next_addr();
+        let results = self.send_legs(&legs, line.text, addr);
+        let remaining = results.iter().filter(|r| r.is_none()).count();
+        let register_raw = register.then(|| line.text.to_owned());
         if remaining == 0 {
             // Nothing was sent (shutdown race): answer from what we have.
-            let id_owned = id.map(JsonRef::to_json);
-            let rendered = finish_fanout(
+            let id = line.id.map(JsonRef::to_json);
+            let reply = finish_fanout(
                 &mut self.aliases,
                 &self.shared,
                 &key,
                 register_raw.as_deref(),
                 &results,
-                id_owned.as_ref(),
+                id.as_ref(),
             );
-            conn.pending.push_back(Slot::ready(rendered));
-            return;
+            return conn.with_out(|out| out.push_str(&reply));
         }
-        conn.pending.push_back(Slot {
-            seq,
-            id: id.map(JsonRef::to_json),
-            started: Instant::now(),
-            state: SlotState::FanOut { key, legs, results, remaining, register_raw },
-        });
+        let leg = Leg::FanOut { key, results, remaining, register_raw };
+        conn.push_pending(addr, line.id, line.started, leg);
     }
 
     /// Fans a `stats` probe to every shard for `cluster_stats`.
-    fn start_cluster_stats(&self, conn_id: u64, conn: &mut Conn, id: Option<&JsonRef<'_>>) {
-        let seq = conn.take_seq();
-        let mut results: Vec<Option<Result<String, ProtoError>>> = Vec::new();
-        let mut remaining = 0usize;
-        for (part, shard) in self.shared.shards.iter().enumerate() {
-            let job = UpJob::Request {
-                line: r#"{"verb":"stats"}"#.to_owned(),
-                addr: ReplyAddr { conn: conn_id, seq, part },
-            };
-            if shard.jobs.send(job).is_ok() {
-                results.push(None);
-                remaining += 1;
-            } else {
-                results.push(Some(Err(ProtoError::new(
-                    "shutting_down",
-                    "router is draining",
-                ))));
-            }
-        }
+    fn start_cluster_stats(&self, conn: &mut Conn<Leg>, line: &Line<'_>) {
+        let all: Vec<usize> = (0..self.shared.shards.len()).collect();
+        let addr = conn.next_addr();
+        let results = self.send_legs(&all, r#"{"verb":"stats"}"#, addr);
+        let remaining = results.iter().filter(|r| r.is_none()).count();
         if remaining == 0 {
-            let mut out = String::new();
-            render_cluster_stats(
-                &self.shared,
-                &mut out,
-                id.map(|v| v as &dyn fmt::Display),
-                &results,
-            );
-            out.push('\n');
-            conn.pending.push_back(Slot::ready(out));
-            return;
+            return conn.with_out(|out| {
+                render_cluster_stats(&self.shared, out, line.display_id(), &results)
+            });
         }
-        conn.pending.push_back(Slot {
-            seq,
-            id: id.map(JsonRef::to_json),
-            started: Instant::now(),
-            state: SlotState::ClusterStats { results, remaining },
-        });
+        conn.push_pending(addr, line.id, line.started, Leg::ClusterStats { results, remaining });
     }
 
     fn shards_health_json(&self) -> String {
@@ -1265,16 +727,32 @@ impl EventLoop {
     }
 }
 
+/// A `shutting_down` reply from a draining shard is a failover trigger,
+/// not an answer: the client never asked that shard to stop.
+fn draining_as_unavailable(result: Reply) -> Reply {
+    match result {
+        Ok(line) if is_shutting_down_reply(&line) => {
+            Err(ProtoError::new(SHARD_UNAVAILABLE, "shard is draining"))
+        }
+        other => other,
+    }
+}
+
+fn err_line(id: Option<&Json>, e: &ProtoError) -> String {
+    let mut out = String::new();
+    render_err(&mut out, display_id(id), e);
+    out
+}
+
 /// Picks the fan-out reply (owner first, then any shard that answered at
 /// all), learns fingerprint aliases from ok replies, records acknowledged
-/// registrations for replica catch-up, and renders the final line
-/// (trailing newline included).
+/// registrations for replica catch-up, and renders the final line.
 fn finish_fanout(
     aliases: &mut HashMap<String, String>,
     shared: &Shared,
     key: &str,
     register_raw: Option<&str>,
-    results: &[Option<Result<String, ProtoError>>],
+    results: &[Option<Reply>],
     id: Option<&Json>,
 ) -> String {
     let m = &shared.metrics;
@@ -1309,21 +787,14 @@ fn finish_fanout(
     let mut last_err: Option<&ProtoError> = None;
     for result in results.iter().flatten() {
         match result {
-            Ok(line) => {
-                let mut out = line.clone();
-                out.push('\n');
-                return out;
-            }
+            Ok(line) => return line.clone(),
             Err(e) => last_err = Some(e),
         }
     }
     m.inc(&m.errors);
     m.inc(&m.failover_exhausted);
     let fallback = ProtoError::new(SHARD_UNAVAILABLE, "no replica answered");
-    let mut out = String::new();
-    render_err(&mut out, display_id(id), last_err.unwrap_or(&fallback));
-    out.push('\n');
-    out
+    err_line(id, last_err.unwrap_or(&fallback))
 }
 
 /// Merges per-shard stats legs: counters sum by name, latency histograms
@@ -1333,7 +804,7 @@ fn render_cluster_stats(
     shared: &Shared,
     out: &mut String,
     id: Option<&dyn fmt::Display>,
-    results: &[Option<Result<String, ProtoError>>],
+    results: &[Option<Reply>],
 ) {
     let mut counters = Counters::new();
     let mut latency = HistogramSnapshot::default();
@@ -1413,47 +884,25 @@ fn is_shutting_down_reply(line: &str) -> bool {
     }
 }
 
-fn display_id(id: Option<&Json>) -> Option<&dyn fmt::Display> {
-    id.map(|v| v as &dyn fmt::Display)
-}
-
-fn elapsed_us(started: Instant) -> u64 {
-    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
-}
-
-// Same byte sequences as the serve renderers (and protocol::ok_response /
-// err_response), so router-local answers are indistinguishable from shard
-// answers.
-
-fn render_id(out: &mut String, id: Option<&dyn fmt::Display>) {
-    if let Some(id) = id {
-        let _ = write!(out, "\"id\":{id},");
-    }
-}
-
-fn render_ok_head(out: &mut String, id: Option<&dyn fmt::Display>, verb: &str) {
-    out.push('{');
-    render_id(out, id);
-    let _ = write!(out, "\"ok\":true,\"verb\":{}", JsonStr(verb));
-}
-
-fn render_err(out: &mut String, id: Option<&dyn fmt::Display>, error: &ProtoError) {
-    out.push('{');
-    render_id(out, id);
-    let _ = write!(
-        out,
-        "\"ok\":false,\"error\":{},\"message\":{}}}",
-        JsonStr(error.code),
-        JsonStr(&error.message)
-    );
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpm_serve::protocol::{err_response, MAX_FRAME_BYTES};
     use fpm_serve::server::{spawn as spawn_shard, ServerConfig};
     use fpm_serve::AlgorithmId;
-    use std::io::{BufRead, BufReader};
+    use std::io::{BufRead, BufReader, Read, Write};
+
+    /// Writes `payload` on a fresh connection, half-closes it, and returns
+    /// everything the daemon sends back before it closes.
+    fn exchange(addr: SocketAddr, payload: &[u8]) -> String {
+        let mut stream = TcpStream::connect(addr).unwrap();
+        stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        stream.write_all(payload).unwrap();
+        let _ = stream.shutdown(std::net::Shutdown::Write);
+        let mut out = String::new();
+        let _ = stream.read_to_string(&mut out);
+        out
+    }
 
     fn demo_models() -> Vec<(String, Vec<(f64, f64)>)> {
         vec![
@@ -1694,6 +1143,41 @@ mod tests {
             shard_client.request_line(line, &mut via_shard).unwrap();
             assert_eq!(via_router, via_shard, "line {line}");
         }
+        // Framing is the shared core's: the same bytes in, the same bytes
+        // out (then close), whichever daemon reads them.
+        let oversized = vec![b'x'; MAX_FRAME_BYTES + 1];
+        let framing: [(&str, &[u8], &str); 3] = [
+            ("oversized frame", &oversized, "frame_too_large"),
+            ("blank lines", b"\n \r\n\t\n", ""),
+            ("unterminated final line", br#"{"id":5,"verb":"warp"}"#, "unknown_verb"),
+        ];
+        for (case, payload, code) in framing {
+            let via_router = exchange(router.addr, payload);
+            assert_eq!(via_router, exchange(shards[0].addr, payload), "{case}");
+            if code.is_empty() {
+                assert_eq!(via_router, "", "{case} get no reply");
+            } else {
+                assert_eq!(via_router.lines().count(), 1, "{case}: {via_router:?}");
+                assert!(via_router.contains(code), "{case}: {via_router:?}");
+            }
+        }
+        // A request read after the stop is refused, spelled exactly like a
+        // draining shard's refusal. Flip the flag without waking the loop
+        // so the next read is the request itself.
+        let mut late = TcpStream::connect(router.addr).unwrap();
+        late.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let mut reader = BufReader::new(late.try_clone().unwrap());
+        writeln!(late, r#"{{"id":6,"verb":"ping"}}"#).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("pong"), "{line}");
+        std::thread::sleep(Duration::from_millis(50));
+        router.shared.stopping.store(true, Ordering::SeqCst);
+        writeln!(late, r#"{{"id":7,"verb":"ping"}}"#).unwrap();
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).unwrap();
+        let refusal = ProtoError::new("shutting_down", "server is draining");
+        assert_eq!(rest, err_response(None, &refusal) + "\n");
         router.shutdown_and_join();
         for s in shards {
             s.shutdown_and_join();

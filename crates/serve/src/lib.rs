@@ -19,6 +19,10 @@
 //!   shedding;
 //! * [`metrics`] — lock-free counters and latency histograms, served by
 //!   the `stats` verb and dumped on graceful shutdown;
+//! * [`conn`] — the line-framed connection core: one nonblocking
+//!   `poll(2)` loop with request pipelining and graceful drain, generic
+//!   over a request [`conn::Handler`] (this crate's [`server`] and the
+//!   `fpm-router` daemon are its two handlers), on the [`poll`] shim;
 //! * [`server`] / [`client`] — the line-delimited JSON TCP protocol
 //!   ([`protocol`]) and a small blocking client;
 //! * [`loadgen`] — a deterministic closed-loop load generator;
@@ -32,6 +36,7 @@
 
 pub mod cache;
 pub mod client;
+pub mod conn;
 pub mod engine;
 pub mod json;
 pub mod loadgen;

@@ -6,8 +6,14 @@
 //! of `fetch_add`s, never a lock.
 
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::Instant;
 
 use crate::json::Json;
+
+/// Microseconds since `started`, saturating: a latency sample.
+pub fn elapsed_us(started: Instant) -> u64 {
+    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
+}
 
 /// Number of histogram buckets: bucket `i` holds samples in
 /// `[2^i, 2^(i+1))` microseconds; the last bucket is a catch-all.

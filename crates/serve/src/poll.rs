@@ -1,4 +1,4 @@
-//! Minimal `poll(2)` shim shared by the serve and router event loops:
+//! Minimal `poll(2)` shim under the connection core ([`crate::conn`]):
 //! the only FFI this workspace declares. Everything else (nonblocking
 //! mode, socket options) goes through std, and the declared symbol is
 //! non-variadic, so no ABI subtleties apply.

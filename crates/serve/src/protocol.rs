@@ -42,7 +42,9 @@
 //! numbers stop being exact) and batches at [`MAX_BATCH`] sizes per
 //! request. Knot coordinates must be finite.
 
-use crate::json::{Json, JsonRef};
+use std::fmt::{self, Write as _};
+
+use crate::json::{Json, JsonRef, JsonStr};
 use fpm_core::planner::AlgorithmId;
 
 /// Maximum accepted request line, in bytes (1 MiB).
@@ -583,6 +585,44 @@ pub fn err_response(id: Option<&Json>, error: &ProtoError) -> String {
     Json::Obj(obj).to_string()
 }
 
+// --- in-place rendering ---------------------------------------------------
+//
+// These write the exact byte sequences `ok_response` / `err_response`
+// produce, directly into a reused buffer, so an event loop's warm path
+// allocates nothing beyond growing that buffer. The tests below
+// cross-check the two renderers.
+
+/// A request `id` in the form the in-place renderers take.
+pub fn display_id(id: Option<&Json>) -> Option<&dyn fmt::Display> {
+    id.map(|v| v as &dyn fmt::Display)
+}
+
+fn render_id(out: &mut String, id: Option<&dyn fmt::Display>) {
+    if let Some(id) = id {
+        let _ = write!(out, "\"id\":{id},");
+    }
+}
+
+/// Renders the head of a success response — `{"id":…,"ok":true,"verb":…`
+/// — leaving the object open for verb-specific fields.
+pub fn render_ok_head(out: &mut String, id: Option<&dyn fmt::Display>, verb: &str) {
+    out.push('{');
+    render_id(out, id);
+    let _ = write!(out, "\"ok\":true,\"verb\":{}", JsonStr(verb));
+}
+
+/// Renders a complete error response (no trailing newline).
+pub fn render_err(out: &mut String, id: Option<&dyn fmt::Display>, error: &ProtoError) {
+    out.push('{');
+    render_id(out, id);
+    let _ = write!(
+        out,
+        "\"ok\":false,\"error\":{},\"message\":{}}}",
+        JsonStr(error.code),
+        JsonStr(&error.message)
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -892,5 +932,20 @@ mod tests {
         assert_eq!(ok, r#"{"id":3,"ok":true,"verb":"ping","pong":true}"#);
         let err = err_response(None, &ProtoError::new("overloaded", "queue full"));
         assert_eq!(err, r#"{"ok":false,"error":"overloaded","message":"queue full"}"#);
+    }
+
+    #[test]
+    fn in_place_renderers_match_the_value_renderers() {
+        let error = ProtoError::new("bad_json", "unexpected \"}\" at 3\n\u{1}");
+        for id in [None, Some(Json::Num(3.0)), Some(Json::Num(-0.5)), Some(Json::str("a\"b\\c"))] {
+            let mut out = String::new();
+            render_err(&mut out, display_id(id.as_ref()), &error);
+            assert_eq!(out, err_response(id.as_ref(), &error));
+            out.clear();
+            render_ok_head(&mut out, display_id(id.as_ref()), "ping");
+            out.push_str(",\"pong\":true}");
+            let fields = vec![("pong".to_owned(), Json::Bool(true))];
+            assert_eq!(out, ok_response(id.as_ref(), "ping", fields));
+        }
     }
 }

@@ -1,92 +1,40 @@
-//! The TCP daemon: a single-threaded nonblocking event loop multiplexing
-//! every connection through `poll(2)`, with request pipelining and
-//! graceful drain-and-exit shutdown.
+//! The TCP daemon: the partition service on the shared connection core
+//! ([`crate::conn`]), which supplies the poll(2) loop, request pipelining
+//! and graceful drain-and-exit shutdown.
 //!
-//! # Architecture
-//!
-//! One thread owns the listener, a self-wake pipe and all connection
-//! state; it blocks only in `poll(2)`. CPU-bound solving never runs on
-//! this thread: cold `partition` / `partition_batch` requests are admitted
-//! onto the shared worker pool ([`crate::engine::Engine::submit`]) and the
-//! completion callback posts the result through a channel and writes one
-//! byte to the wake pipe, which makes the poller resume. Warm requests —
-//! the common case once a cluster's plans are cached — are answered
-//! inline from [`crate::engine::Engine::probe`] without ever leaving the
-//! loop: no thread hand-off, no lock waits, no allocation beyond the
-//! response bytes.
-//!
-//! # Connection state machine
-//!
-//! Each connection carries a read buffer, a write buffer with a flush
-//! offset, and an ordered queue of response slots:
-//!
-//! ```text
-//!            readable                   complete line
-//!   ┌──────┐ drain to  ┌──────────┐ per line   ┌─────────────┐
-//!   │ idle ├──────────▶│ buffered ├───────────▶│ dispatching │
-//!   └──────┘ WouldBlock└──────────┘            └──────┬──────┘
-//!      ▲                                  warm hit /  │  \ cold miss
-//!      │                                  sync verb   │   \
-//!      │                                       ▼      │    ▼
-//!      │  wbuf flushed ┌─────────┐ in-order ┌─────────┴─┐ pool solve,
-//!      └───────────────┤ writing │◀─────────┤ slot queue│ wake on done
-//!                      └─────────┘  pump    └───────────┘
-//! ```
-//!
-//! A readable event drains *every* complete line in the buffer (request
-//! pipelining), so a client may write many newline-delimited requests in
-//! one segment; responses are always emitted in request order — a slot
-//! whose solve is still on the pool blocks later, already-finished slots
-//! from being flushed before it. Partial reads and partial writes are
-//! plain state transitions, never blocking calls.
-//!
-//! # Drain semantics
+//! CPU-bound solving never runs on the loop thread. Warm requests — the
+//! common case once a cluster's plans are cached — are answered inline
+//! from [`crate::engine::Engine::probe`]: no thread hand-off, no lock
+//! waits, no allocation beyond the response bytes. Cold `partition` /
+//! `partition_batch` requests are admitted onto the shared worker pool
+//! ([`crate::engine::Engine::submit`]) behind a pending reply slot, whose
+//! completion callback posts the result back to the loop. Every pending
+//! slot carries a deadline; the loop answers it with a `deadline` error
+//! when the pool is too slow, and drops the late result.
 //!
 //! Any client may send `{"verb":"shutdown"}` (operators use `fpm serve`
 //! which wires this up), or the embedder calls
-//! [`ServerHandle::shutdown_and_join`]. Once `stopping` is observed the
-//! loop stops accepting, stops reading, answers every in-flight slot,
-//! flushes each connection and closes it; the loop exits when no
-//! connection remains or a 5 s grace period ends, whichever is first.
-//! Requests arriving on the wire after the stop are answered with a
-//! `shutting_down` error when the loop still reads them, or see EOF.
+//! [`ServerHandle::shutdown_and_join`].
 
-use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
-use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::AsRawFd;
-use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::cache::{CacheStatus, PlanResult};
+use crate::conn::{self, Completer, Conn, Conns, Handler, Line, ReplyAddr, SlotState};
 use crate::engine::{Admission, Engine, EngineConfig, Plan};
 use crate::json::{Json, JsonRef, JsonStr};
-use crate::metrics::Metrics;
+use crate::metrics::{elapsed_us, Metrics};
 use crate::protocol::{
-    parse_id_ref, parse_partition_batch_ref, parse_partition_ref, parse_target_ref,
-    request_from_value, ClusterRef, ClusterRefView, ProtoError, Request, MAX_FRAME_BYTES,
+    display_id, parse_partition_batch_ref, parse_partition_ref, parse_target_ref, render_err,
+    render_ok_head, request_from_value, ClusterRef, ClusterRefView, ProtoError, Request,
 };
 use crate::registry::{RegisteredCluster, Registry};
 use fpm_core::planner::AlgorithmId;
-
-#[cfg(not(unix))]
-compile_error!("fpm-serve's event loop multiplexes sockets with poll(2); non-unix targets are unsupported");
-
-use crate::poll as sys;
-
-/// How long a draining server waits for in-flight slots and final writes.
-const DRAIN_GRACE: Duration = Duration::from_secs(5);
-/// Poll tick while draining, so grace expiry is noticed promptly.
-const DRAIN_TICK_MS: i32 = 25;
-/// Read chunk size: large enough that a deep pipeline lands in one read.
-const READ_CHUNK: usize = 64 * 1024;
-/// Compact the write buffer once this many flushed bytes accumulate.
-const WBUF_COMPACT: usize = 64 * 1024;
 
 /// Server configuration.
 #[derive(Debug, Clone)]
@@ -152,11 +100,9 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         default_deadline: Duration::from_millis(config.default_deadline_ms),
         stopping: AtomicBool::new(false),
     });
-    let loop_shared = Arc::clone(&shared);
-    let driver = std::thread::Builder::new()
-        .name("fpm-serve-loop".into())
-        .spawn(move || event_loop(listener, loop_shared))
-        .expect("spawn event-loop thread");
+    let (completer, completions) = conn::completion_channel()?;
+    let handler = ServeHandler { shared: Arc::clone(&shared), completer };
+    let driver = conn::spawn("fpm-serve-loop", listener, completions, handler)?;
     Ok(ServerHandle { addr, shared, driver: Some(driver) })
 }
 
@@ -185,35 +131,8 @@ impl ServerHandle {
     }
 }
 
-/// Where a solve completion is delivered: the connection, the reply
-/// slot in its pipeline, and the element index within a batch.
-#[derive(Clone, Copy)]
-struct ReplyAddr {
-    conn: u64,
-    seq: u64,
-    elem: usize,
-}
-
-/// A solve completion posted from a pool thread back to the event loop.
-struct Completion {
-    conn: u64,
-    seq: u64,
-    elem: usize,
-    result: PlanResult,
-    status: CacheStatus,
-}
-
-/// Write end of the self-wake pipe, cloned into pool-side callbacks.
-#[derive(Clone)]
-struct Waker(Arc<UnixStream>);
-
-impl Waker {
-    fn wake(&self) {
-        // Nonblocking: a full pipe already guarantees a pending wake-up,
-        // so WouldBlock (and any other failure) is ignorable.
-        let _ = (&*self.0).write(&[1u8]);
-    }
-}
+/// A pool solve's outcome, posted back to the loop.
+type Solved = (PlanResult, CacheStatus);
 
 /// One resolved `partition_batch` element.
 enum BatchElem {
@@ -223,708 +142,221 @@ enum BatchElem {
     Fail(ProtoError),
 }
 
-/// What a response slot is waiting for.
-enum SlotState {
-    /// Fully rendered (trailing newline included), awaiting its turn in
-    /// the response order.
-    Ready(String),
-    /// One `partition` solve in flight on the pool.
-    Single {
-        algorithm: AlgorithmId,
-        fingerprint: String,
-    },
-    /// A `partition_batch` with at least one element on the pool.
-    Batch {
-        algorithm: AlgorithmId,
-        fingerprint: String,
-        results: Vec<Option<BatchElem>>,
-        remaining: usize,
-    },
-}
-
-/// An ordered response slot: responses leave the connection strictly in
-/// request order, so a pending slot holds back everything behind it.
-struct Slot {
-    seq: u64,
-    id: Option<Json>,
-    started: Instant,
-    deadline: Option<Instant>,
+/// A reply waiting on pool solves.
+struct Solve {
+    deadline: Instant,
     deadline_ms: u128,
-    state: SlotState,
+    algorithm: AlgorithmId,
+    fingerprint: String,
+    /// `None` for a `partition`; the element results of a
+    /// `partition_batch`, at least one of them still on the pool.
+    batch: Option<Batch>,
 }
 
-impl Slot {
-    fn ready(text: String) -> Self {
-        Slot {
-            seq: 0, // completions never carry seq 0
-            id: None,
-            started: Instant::now(),
-            deadline: None,
-            deadline_ms: 0,
-            state: SlotState::Ready(text),
-        }
-    }
+struct Batch {
+    results: Vec<Option<BatchElem>>,
+    remaining: usize,
 }
 
-/// Per-connection state.
-struct Conn {
-    stream: TcpStream,
-    /// Unconsumed inbound bytes (at most one partial line between events).
-    rbuf: Vec<u8>,
-    /// Prefix of `rbuf` already scanned for a newline.
-    scanned: usize,
-    /// Outbound bytes; `wpos..` is still unflushed.
-    wbuf: Vec<u8>,
-    wpos: usize,
-    /// Render scratch for the inline fast path (reused, rarely grows).
-    scratch: String,
-    pending: VecDeque<Slot>,
-    next_seq: u64,
-    /// No more reads: EOF, read error, framing error or shutdown.
-    eof: bool,
-    /// Close once `pending` and `wbuf` are flushed.
-    closing: bool,
-    /// Remove immediately (write error, peer reset).
-    dead: bool,
-}
-
-impl Conn {
-    fn new(stream: TcpStream) -> Self {
-        Conn {
-            stream,
-            rbuf: Vec::with_capacity(4096),
-            scanned: 0,
-            wbuf: Vec::with_capacity(4096),
-            wpos: 0,
-            scratch: String::with_capacity(256),
-            pending: VecDeque::new(),
-            next_seq: 1,
-            eof: false,
-            closing: false,
-            dead: false,
-        }
-    }
-
-    fn take_seq(&mut self) -> u64 {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        seq
-    }
-
-    /// Renders one response line. When nothing is pending the bytes go
-    /// straight into the write buffer (the pipelined fast path); otherwise
-    /// a ready slot preserves response order behind in-flight solves.
-    fn with_out(&mut self, render: impl FnOnce(&mut String)) {
-        if self.pending.is_empty() {
-            self.scratch.clear();
-            render(&mut self.scratch);
-            self.scratch.push('\n');
-            self.wbuf.extend_from_slice(self.scratch.as_bytes());
-        } else {
-            let mut out = String::new();
-            render(&mut out);
-            out.push('\n');
-            self.pending.push_back(Slot::ready(out));
-        }
-    }
-
-    /// Moves every leading ready slot into the write buffer, in order.
-    fn pump(&mut self) {
-        while matches!(self.pending.front().map(|s| &s.state), Some(SlotState::Ready(_))) {
-            let slot = self.pending.pop_front().expect("front checked");
-            let SlotState::Ready(text) = slot.state else { unreachable!() };
-            self.wbuf.extend_from_slice(text.as_bytes());
-        }
-    }
-
-    /// Flushes as much of the write buffer as the socket accepts.
-    fn try_write(&mut self) {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        } else if self.wpos >= WBUF_COMPACT {
-            self.wbuf.drain(..self.wpos);
-            self.wpos = 0;
-        }
-    }
-
-    fn flushed(&self) -> bool {
-        self.pending.is_empty() && self.wpos >= self.wbuf.len()
-    }
-}
-
-fn event_loop(listener: TcpListener, shared: Arc<Shared>) {
-    if listener.set_nonblocking(true).is_err() {
-        return;
-    }
-    let Ok((wake_tx, wake_rx)) = UnixStream::pair() else { return };
-    let _ = wake_tx.set_nonblocking(true);
-    let _ = wake_rx.set_nonblocking(true);
-    let (tx, rx) = mpsc::channel();
-    EventLoop {
-        listener,
-        shared,
-        waker: Waker(Arc::new(wake_tx)),
-        waker_rx: wake_rx,
-        tx,
-        rx,
-        conns: HashMap::new(),
-        next_conn: 0,
-        read_chunk: vec![0u8; READ_CHUNK],
-    }
-    .run();
-}
-
-struct EventLoop {
-    listener: TcpListener,
+/// The partition service's request logic.
+struct ServeHandler {
     shared: Arc<Shared>,
-    waker: Waker,
-    waker_rx: UnixStream,
-    tx: mpsc::Sender<Completion>,
-    rx: mpsc::Receiver<Completion>,
-    conns: HashMap<u64, Conn>,
-    next_conn: u64,
-    read_chunk: Vec<u8>,
+    completer: Completer<Solved>,
 }
 
-impl EventLoop {
-    fn run(&mut self) {
-        let mut fds: Vec<sys::PollFd> = Vec::new();
-        let mut ids: Vec<u64> = Vec::new();
-        let mut stop_at: Option<Instant> = None;
-        loop {
-            let stopping = self.shared.stopping.load(Ordering::SeqCst);
-            if stopping && stop_at.is_none() {
-                stop_at = Some(Instant::now() + DRAIN_GRACE);
-                for conn in self.conns.values_mut() {
-                    // Stop reading; in-flight slots still resolve and
-                    // buffered responses still flush before close.
-                    conn.eof = true;
-                    conn.closing = true;
-                }
-            }
-            self.conns.retain(|_, conn| !(conn.dead || conn.closing && conn.flushed()));
-            if stopping
-                && (self.conns.is_empty() || stop_at.is_some_and(|t| Instant::now() >= t))
-            {
-                return;
-            }
+impl Handler for ServeHandler {
+    type Pending = Solve;
+    type Done = Solved;
 
-            fds.clear();
-            ids.clear();
-            fds.push(sys::PollFd {
-                fd: self.listener.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
-            fds.push(sys::PollFd {
-                fd: self.waker_rx.as_raw_fd(),
-                events: sys::POLLIN,
-                revents: 0,
-            });
-            for (&id, conn) in &self.conns {
-                let mut events = 0i16;
-                if !conn.eof {
-                    events |= sys::POLLIN;
-                }
-                if conn.wpos < conn.wbuf.len() {
-                    events |= sys::POLLOUT;
-                }
-                fds.push(sys::PollFd { fd: conn.stream.as_raw_fd(), events, revents: 0 });
-                ids.push(id);
-            }
+    fn stopping(&self) -> bool {
+        self.shared.stopping.load(Ordering::SeqCst)
+    }
 
-            sys::poll_fds(&mut fds, self.poll_timeout(stopping));
+    fn on_accept(&self) {
+        self.shared.metrics.inc(&self.shared.metrics.connections);
+    }
 
-            if fds[1].revents != 0 {
-                self.drain_waker();
-            }
-            self.drain_completions();
-            if fds[0].revents != 0 {
-                self.accept_ready(stopping);
-            }
-            for (i, &id) in ids.iter().enumerate() {
-                let revents = fds[i + 2].revents;
-                if revents & sys::POLLNVAL != 0 {
-                    if let Some(conn) = self.conns.get_mut(&id) {
-                        conn.dead = true;
+    fn on_request(&self) {
+        self.shared.metrics.inc(&self.shared.metrics.requests);
+    }
+
+    fn on_error(&self) {
+        self.shared.metrics.inc(&self.shared.metrics.errors);
+    }
+
+    fn on_lines(&self, lines: u64) {
+        self.shared.metrics.observe_pipeline_depth(lines);
+    }
+
+    fn handle(&mut self, conn: &mut Conn<Solve>, line: Line<'_>) -> bool {
+        match line.verb {
+            "partition" => self.hot_partition(conn, &line),
+            "partition_batch" => self.hot_batch(conn, &line),
+            _ => return self.cold_verb(conn, &line),
+        }
+        true
+    }
+
+    fn complete(
+        &mut self,
+        addr: ReplyAddr,
+        (result, status): Solved,
+        solve: &mut Solve,
+        id: Option<&Json>,
+        started: Instant,
+    ) -> Option<String> {
+        let m = &self.shared.metrics;
+        let cached = status != CacheStatus::Miss;
+        let mut out = String::new();
+        match &mut solve.batch {
+            None => {
+                count_cache_status(m, status);
+                m.partition_latency.record(elapsed_us(started));
+                match result {
+                    Ok(plan) => render_partition_ok(
+                        &mut out,
+                        display_id(id),
+                        &plan,
+                        cached,
+                        solve.algorithm,
+                        &solve.fingerprint,
+                    ),
+                    Err(e) => {
+                        m.inc(&m.errors);
+                        render_err(&mut out, display_id(id), &e);
                     }
-                } else if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
-                    self.read_ready(id);
                 }
             }
-            self.sweep_deadlines();
-            for conn in self.conns.values_mut() {
-                conn.pump();
-                if conn.wpos < conn.wbuf.len() {
-                    conn.try_write();
-                }
-            }
-        }
-    }
-
-    /// Next poll timeout: the nearest request deadline, a short tick while
-    /// draining, or forever when nothing is outstanding.
-    fn poll_timeout(&self, stopping: bool) -> i32 {
-        if stopping {
-            return DRAIN_TICK_MS;
-        }
-        let now = Instant::now();
-        let mut nearest: Option<Duration> = None;
-        for conn in self.conns.values() {
-            for slot in &conn.pending {
-                if matches!(slot.state, SlotState::Ready(_)) {
-                    continue;
-                }
-                if let Some(deadline) = slot.deadline {
-                    let left = deadline.saturating_duration_since(now);
-                    nearest = Some(nearest.map_or(left, |d| d.min(left)));
-                }
-            }
-        }
-        match nearest {
-            None => -1,
-            // Round up so a nearly-due deadline does not busy-spin.
-            Some(left) => left.as_millis().min(i32::MAX as u128 - 1) as i32 + 1,
-        }
-    }
-
-    fn drain_waker(&mut self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.waker_rx).read(&mut buf) {
-                Ok(0) => return,
-                Ok(_) => {}
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
-            }
-        }
-    }
-
-    fn accept_ready(&mut self, stopping: bool) {
-        loop {
-            match self.listener.accept() {
-                Ok((stream, _)) => {
-                    if stopping {
-                        // Wake-up connection or late client: drop unserved.
-                        continue;
-                    }
-                    if stream.set_nonblocking(true).is_err() {
-                        continue;
-                    }
-                    stream.set_nodelay(true).ok();
-                    self.shared.metrics.inc(&self.shared.metrics.connections);
-                    let id = self.next_conn;
-                    self.next_conn += 1;
-                    self.conns.insert(id, Conn::new(stream));
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => return,
-            }
-        }
-    }
-
-    /// Routes finished pool solves into their slots.
-    fn drain_completions(&mut self) {
-        while let Ok(done) = self.rx.try_recv() {
-            let Some(conn) = self.conns.get_mut(&done.conn) else {
-                continue; // connection gone: the result stays cached
-            };
-            let Some(idx) = conn.pending.iter().position(|s| s.seq == done.seq) else {
-                continue; // slot already answered (deadline) and flushed
-            };
-            let m = &self.shared.metrics;
-            let slot = &mut conn.pending[idx];
-            let state = std::mem::replace(&mut slot.state, SlotState::Ready(String::new()));
-            match state {
-                // Deadline already answered this slot; drop the late result.
-                ready @ SlotState::Ready(_) => slot.state = ready,
-                SlotState::Single { algorithm, fingerprint } => {
-                    count_cache_status(m, done.status);
-                    m.partition_latency.record(elapsed_us(slot.started));
-                    let mut out = String::new();
-                    match done.result {
-                        Ok(plan) => render_partition_ok(
-                            &mut out,
-                            display_id(slot.id.as_ref()),
-                            &plan,
-                            done.status != CacheStatus::Miss,
-                            algorithm,
-                            &fingerprint,
-                        ),
+            Some(batch) => {
+                if batch.results.get(addr.part).is_some_and(Option::is_none) {
+                    count_cache_status(m, status);
+                    m.partition_latency.record(elapsed_us(started));
+                    batch.results[addr.part] = Some(match result {
+                        Ok(plan) => BatchElem::Plan(plan, cached),
                         Err(e) => {
                             m.inc(&m.errors);
-                            render_err(&mut out, display_id(slot.id.as_ref()), &e);
+                            BatchElem::Fail(e)
                         }
-                    }
-                    out.push('\n');
-                    slot.state = SlotState::Ready(out);
+                    });
+                    batch.remaining -= 1;
                 }
-                SlotState::Batch { algorithm, fingerprint, mut results, mut remaining } => {
-                    if done.elem < results.len() && results[done.elem].is_none() {
-                        count_cache_status(m, done.status);
-                        m.partition_latency.record(elapsed_us(slot.started));
-                        results[done.elem] = Some(match done.result {
-                            Ok(plan) => BatchElem::Plan(plan, done.status != CacheStatus::Miss),
-                            Err(e) => {
-                                m.inc(&m.errors);
-                                BatchElem::Fail(e)
-                            }
-                        });
-                        remaining -= 1;
-                    }
-                    if remaining == 0 {
-                        let mut out = String::new();
-                        render_batch(
-                            &mut out,
-                            display_id(slot.id.as_ref()),
-                            algorithm,
-                            &fingerprint,
-                            &results,
-                        );
-                        out.push('\n');
-                        slot.state = SlotState::Ready(out);
-                    } else {
-                        slot.state =
-                            SlotState::Batch { algorithm, fingerprint, results, remaining };
-                    }
+                if batch.remaining > 0 {
+                    return None;
                 }
+                render_batch(
+                    &mut out,
+                    display_id(id),
+                    solve.algorithm,
+                    &solve.fingerprint,
+                    &batch.results,
+                );
             }
         }
+        Some(out)
     }
 
-    /// Answers every slot whose deadline has passed; late pool results for
-    /// an expired slot are dropped in [`EventLoop::drain_completions`].
-    fn sweep_deadlines(&mut self) {
+    /// Answers every slot whose deadline has passed; late pool results
+    /// for an answered slot are dropped by the core.
+    fn expire(&mut self, conns: &mut Conns<Solve>) -> Option<Instant> {
         let now = Instant::now();
         let m = &self.shared.metrics;
-        for conn in self.conns.values_mut() {
-            for slot in conn.pending.iter_mut() {
-                let Some(deadline) = slot.deadline else { continue };
-                if now < deadline || matches!(slot.state, SlotState::Ready(_)) {
+        let mut nearest: Option<Instant> = None;
+        for conn in conns.values_mut() {
+            for slot in conn.slots_mut() {
+                let SlotState::Pending(solve) = &mut slot.state else { continue };
+                if now < solve.deadline {
+                    nearest = Some(nearest.map_or(solve.deadline, |t| t.min(solve.deadline)));
                     continue;
                 }
                 let err = ProtoError::new(
                     "deadline",
-                    format!("no result within {} ms", slot.deadline_ms),
+                    format!("no result within {} ms", solve.deadline_ms),
                 );
-                let state = std::mem::replace(&mut slot.state, SlotState::Ready(String::new()));
-                let rendered = match state {
-                    SlotState::Ready(text) => text,
-                    SlotState::Single { .. } => {
+                let mut out = String::new();
+                match &mut solve.batch {
+                    None => {
                         m.inc(&m.deadline_misses);
                         m.inc(&m.errors);
-                        let mut out = String::new();
                         render_err(&mut out, display_id(slot.id.as_ref()), &err);
-                        out.push('\n');
-                        out
                     }
-                    SlotState::Batch { algorithm, fingerprint, mut results, .. } => {
-                        for elem in results.iter_mut() {
-                            if elem.is_none() {
-                                m.inc(&m.deadline_misses);
-                                m.inc(&m.errors);
-                                *elem = Some(BatchElem::Fail(err.clone()));
-                            }
+                    Some(batch) => {
+                        for elem in batch.results.iter_mut().filter(|e| e.is_none()) {
+                            m.inc(&m.deadline_misses);
+                            m.inc(&m.errors);
+                            *elem = Some(BatchElem::Fail(err.clone()));
                         }
-                        let mut out = String::new();
                         render_batch(
                             &mut out,
                             display_id(slot.id.as_ref()),
-                            algorithm,
-                            &fingerprint,
-                            &results,
+                            solve.algorithm,
+                            &solve.fingerprint,
+                            &batch.results,
                         );
-                        out.push('\n');
-                        out
-                    }
-                };
-                slot.state = SlotState::Ready(rendered);
-            }
-        }
-    }
-
-    fn read_ready(&mut self, id: u64) {
-        // The connection leaves the map while its lines are handled so the
-        // dispatch path can borrow the loop freely.
-        let Some(mut conn) = self.conns.remove(&id) else { return };
-        if !conn.eof {
-            loop {
-                match conn.stream.read(&mut self.read_chunk) {
-                    Ok(0) => {
-                        conn.eof = true;
-                        conn.closing = true;
-                        break;
-                    }
-                    Ok(n) => {
-                        conn.rbuf.extend_from_slice(&self.read_chunk[..n]);
-                        if n < self.read_chunk.len() {
-                            break; // likely drained; poll re-reports leftovers
-                        }
-                    }
-                    Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(_) => {
-                        // Peer went away: treat as EOF, flush what we owe.
-                        conn.eof = true;
-                        conn.closing = true;
-                        break;
                     }
                 }
+                slot.resolve(out);
             }
-            self.process_lines(id, &mut conn);
         }
-        self.conns.insert(id, conn);
+        nearest
     }
+}
 
-    /// Drains every complete line in the read buffer — the pipelining
-    /// core — plus a final partial line on EOF.
-    fn process_lines(&self, id: u64, conn: &mut Conn) {
-        let rbuf = std::mem::take(&mut conn.rbuf);
-        let mut consumed = 0usize;
-        let mut search = conn.scanned;
-        let mut lines = 0u64;
-        // Set when a line must be the last served on this connection
-        // (`shutdown`, a drain refusal, a framing error): anything still
-        // buffered behind it is dropped, exactly like the blocking server
-        // which returned mid-buffer.
-        let mut halted = false;
-        while let Some(off) = rbuf[search..].iter().position(|&b| b == b'\n') {
-            let nl = search + off;
-            // The bound counts the newline, exactly like the old reader.
-            if nl + 1 - consumed > MAX_FRAME_BYTES {
-                self.framing_error(conn);
-                halted = true;
-                break;
-            }
-            let keep_serving = self.handle_line(id, conn, &rbuf[consumed..nl]);
-            lines += 1;
-            consumed = nl + 1;
-            search = consumed;
-            if !keep_serving {
-                halted = true;
-                break;
-            }
-        }
-        let mut keep = rbuf;
-        if halted {
-            keep.clear();
-            conn.scanned = 0;
-        } else if conn.eof {
-            // EOF with an unterminated trailing line: process it as-is (a
-            // client that forgot the final newline still gets its answer).
-            if consumed < keep.len() {
-                self.handle_line(id, conn, &keep[consumed..]);
-                lines += 1;
-            }
-            keep.clear();
-            conn.scanned = 0;
-        } else {
-            keep.drain(..consumed);
-            conn.scanned = keep.len();
-            if keep.len() > MAX_FRAME_BYTES {
-                self.framing_error(conn);
-                keep.clear();
-                conn.scanned = 0;
-            }
-        }
-        conn.rbuf = keep;
-        if lines > 0 {
-            self.shared.metrics.observe_pipeline_depth(lines);
-        }
-    }
-
-    /// An oversized frame: answer with a structured error and close — no
-    /// resynchronisation is attempted.
-    fn framing_error(&self, conn: &mut Conn) {
-        let m = &self.shared.metrics;
-        m.inc(&m.errors);
-        let e = ProtoError::new("frame_too_large", "request line exceeds 1 MiB");
-        conn.with_out(|out| render_err(out, None, &e));
-        conn.eof = true;
-        conn.closing = true;
-    }
-
-    /// Parses and dispatches one request line. Returns false when this
-    /// line must be the last served on the connection (`shutdown`, drain
-    /// refusal) so pipelined lines buffered behind it are dropped.
-    fn handle_line(&self, conn_id: u64, conn: &mut Conn, raw: &[u8]) -> bool {
-        let text = String::from_utf8_lossy(raw);
-        let line = text.trim();
-        if line.is_empty() {
-            return true; // blank lines elicit no response
-        }
-        let m = &self.shared.metrics;
-        m.inc(&m.requests);
-        if self.shared.stopping.load(Ordering::SeqCst) {
-            m.inc(&m.errors);
-            let e = ProtoError::new("shutting_down", "server is draining");
-            conn.with_out(|out| render_err(out, None, &e));
-            conn.eof = true;
-            conn.closing = true;
-            return false;
-        }
-        let started = Instant::now();
-        let value = match Json::parse_ref(line) {
-            Ok(v) => v,
-            Err(e) => {
-                m.inc(&m.errors);
-                let e = ProtoError::new("bad_json", e.to_string());
-                conn.with_out(|out| render_err(out, None, &e));
-                return true;
-            }
-        };
-        let id = match parse_id_ref(&value) {
-            Ok(id) => id,
-            Err(e) => {
-                m.inc(&m.errors);
-                conn.with_out(|out| render_err(out, None, &e));
-                return true;
-            }
-        };
-        let disp: Option<&dyn fmt::Display> = id.map(|v| v as &dyn fmt::Display);
-        if !matches!(value, JsonRef::Obj(_)) {
-            m.inc(&m.errors);
-            let e = ProtoError::new("bad_request", "request must be a JSON object");
-            conn.with_out(|out| render_err(out, disp, &e));
-            return true;
-        }
-        let Some(verb) = value.get("verb").and_then(JsonRef::as_str) else {
-            m.inc(&m.errors);
-            let e = ProtoError::new("bad_request", "missing string field: verb");
-            conn.with_out(|out| render_err(out, disp, &e));
-            return true;
-        };
-        match verb {
-            "partition" => {
-                self.hot_partition(conn_id, conn, &value, id, started);
-                true
-            }
-            "partition_batch" => {
-                self.hot_batch(conn_id, conn, &value, id, started);
-                true
-            }
-            _ => self.cold_verb(conn, &value, id),
-        }
-    }
-
+impl ServeHandler {
     /// The hot path: borrowed parse, registry lookup by slice, cache probe
     /// — a warm hit renders the reply without leaving the loop thread.
-    fn hot_partition(
-        &self,
-        conn_id: u64,
-        conn: &mut Conn,
-        value: &JsonRef<'_>,
-        id: Option<&JsonRef<'_>>,
-        started: Instant,
-    ) {
+    fn hot_partition(&self, conn: &mut Conn<Solve>, line: &Line<'_>) {
         let m = &self.shared.metrics;
         m.inc(&m.partition_requests);
-        let disp: Option<&dyn fmt::Display> = id.map(|v| v as &dyn fmt::Display);
-        let view = match parse_partition_ref(value) {
+        let disp = line.display_id();
+        let view = match parse_partition_ref(line.value) {
             Ok(v) => v,
             Err(e) => {
-                m.inc(&m.errors);
-                let e = self.contextualise_algorithm_error(value, e);
-                conn.with_out(|out| render_err(out, disp, &e));
-                return;
+                let e = self.contextualise_algorithm_error(line.value, e);
+                return self.fail(conn, disp, &e);
             }
         };
         let cluster = match self.shared.registry.lookup_ref(view.target) {
             Ok(c) => c,
-            Err(e) => {
-                m.inc(&m.errors);
-                conn.with_out(|out| render_err(out, disp, &e));
-                return;
-            }
+            Err(e) => return self.fail(conn, disp, &e),
         };
         if let Some(result) = self.shared.engine.probe(&cluster, view.n, view.algorithm) {
             m.inc(&m.cache_hits);
-            m.partition_latency.record(elapsed_us(started));
+            m.partition_latency.record(elapsed_us(line.started));
             match result {
                 Ok(plan) => conn.with_out(|out| {
                     render_partition_ok(out, disp, &plan, true, view.algorithm, &cluster.fingerprint)
                 }),
-                Err(e) => {
-                    m.inc(&m.errors);
-                    conn.with_out(|out| render_err(out, disp, &e));
-                }
+                Err(e) => self.fail(conn, disp, &e),
             }
             return;
         }
         // Cold: reserve a queue slot and hand the solve to the pool.
         let admission = match self.shared.engine.admit(&self.shared.metrics) {
             Ok(a) => a,
-            Err(e) => {
-                m.inc(&m.errors);
-                conn.with_out(|out| render_err(out, disp, &e));
-                return;
-            }
+            Err(e) => return self.fail(conn, disp, &e),
         };
-        let deadline = view.deadline_ms.map(Duration::from_millis).unwrap_or(self.shared.default_deadline);
-        let seq = conn.take_seq();
-        conn.pending.push_back(Slot {
-            seq,
-            id: id.map(JsonRef::to_json),
-            started,
-            deadline: Some(started + deadline),
-            deadline_ms: deadline.as_millis(),
-            state: SlotState::Single {
-                algorithm: view.algorithm,
-                fingerprint: cluster.fingerprint.clone(),
-            },
-        });
-        let addr = ReplyAddr { conn: conn_id, seq, elem: 0 };
+        let addr = self.defer(conn, line, view.deadline_ms, view.algorithm, &cluster, None);
         self.submit_solve(admission, addr, &cluster, view.n, view.algorithm);
     }
 
     /// `partition_batch`: many sizes, one cluster, one reply. Cached
     /// elements are answered from the probe; cold elements are admitted
     /// element-wise (a full queue sheds single elements, not the batch).
-    fn hot_batch(
-        &self,
-        conn_id: u64,
-        conn: &mut Conn,
-        value: &JsonRef<'_>,
-        id: Option<&JsonRef<'_>>,
-        started: Instant,
-    ) {
+    fn hot_batch(&self, conn: &mut Conn<Solve>, line: &Line<'_>) {
         let m = &self.shared.metrics;
         m.inc(&m.batch_requests);
-        let disp: Option<&dyn fmt::Display> = id.map(|v| v as &dyn fmt::Display);
-        let view = match parse_partition_batch_ref(value) {
+        let disp = line.display_id();
+        let view = match parse_partition_batch_ref(line.value) {
             Ok(v) => v,
             Err(e) => {
-                m.inc(&m.errors);
-                let e = self.contextualise_algorithm_error(value, e);
-                conn.with_out(|out| render_err(out, disp, &e));
-                return;
+                let e = self.contextualise_algorithm_error(line.value, e);
+                return self.fail(conn, disp, &e);
             }
         };
         m.batch_sub_requests.fetch_add(view.ns.len() as u64, Ordering::Relaxed);
         let cluster = match self.shared.registry.lookup_ref(view.target) {
             Ok(c) => c,
-            Err(e) => {
-                m.inc(&m.errors);
-                conn.with_out(|out| render_err(out, disp, &e));
-                return;
-            }
+            Err(e) => return self.fail(conn, disp, &e),
         };
         let mut results: Vec<Option<BatchElem>> = Vec::with_capacity(view.ns.len());
         let mut cold: Vec<usize> = Vec::new();
@@ -932,7 +364,7 @@ impl EventLoop {
             match self.shared.engine.probe(&cluster, n, view.algorithm) {
                 Some(result) => {
                     m.inc(&m.cache_hits);
-                    m.partition_latency.record(elapsed_us(started));
+                    m.partition_latency.record(elapsed_us(line.started));
                     results.push(Some(match result {
                         Ok(plan) => BatchElem::Plan(plan, true),
                         Err(e) => {
@@ -963,26 +395,36 @@ impl EventLoop {
             });
             return;
         }
-        let deadline = view.deadline_ms.map(Duration::from_millis).unwrap_or(self.shared.default_deadline);
-        let remaining = admitted.len();
-        let seq = conn.take_seq();
-        conn.pending.push_back(Slot {
-            seq,
-            id: id.map(JsonRef::to_json),
-            started,
-            deadline: Some(started + deadline),
-            deadline_ms: deadline.as_millis(),
-            state: SlotState::Batch {
-                algorithm: view.algorithm,
-                fingerprint: cluster.fingerprint.clone(),
-                results,
-                remaining,
-            },
-        });
+        let batch = Batch { results, remaining: admitted.len() };
+        let addr = self.defer(conn, line, view.deadline_ms, view.algorithm, &cluster, Some(batch));
         for (i, admission) in admitted {
-            let addr = ReplyAddr { conn: conn_id, seq, elem: i };
+            let addr = ReplyAddr { part: i, ..addr };
             self.submit_solve(admission, addr, &cluster, view.ns[i], view.algorithm);
         }
+    }
+
+    /// Queues the pending slot for a request whose solves go to the pool.
+    fn defer(
+        &self,
+        conn: &mut Conn<Solve>,
+        line: &Line<'_>,
+        deadline_ms: Option<u64>,
+        algorithm: AlgorithmId,
+        cluster: &RegisteredCluster,
+        batch: Option<Batch>,
+    ) -> ReplyAddr {
+        let deadline =
+            deadline_ms.map(Duration::from_millis).unwrap_or(self.shared.default_deadline);
+        let addr = conn.next_addr();
+        let solve = Solve {
+            deadline: line.started + deadline,
+            deadline_ms: deadline.as_millis(),
+            algorithm,
+            fingerprint: cluster.fingerprint.clone(),
+            batch,
+        };
+        conn.push_pending(addr, line.id, line.started, solve);
+        addr
     }
 
     /// Rewrites a parse failure for an unrecognised `algorithm` so the
@@ -1031,28 +473,22 @@ impl EventLoop {
         n: u64,
         algorithm: AlgorithmId,
     ) {
-        let tx = self.tx.clone();
-        let waker = self.waker.clone();
+        let done = self.completer.clone();
         self.shared.engine.submit(admission, cluster, n, algorithm, move |result, status| {
-            // The loop may have dropped the connection; send-failure and a
-            // full wake pipe are both fine to ignore.
-            let ReplyAddr { conn, seq, elem } = addr;
-            let _ = tx.send(Completion { conn, seq, elem, result, status });
-            waker.wake();
+            done.complete(addr, (result, status));
         });
     }
 
     /// The infrequent verbs, via the owned parser (one allocation each —
     /// irrelevant off the partition path). Returns false when the verb
     /// ends service on this connection (`shutdown`).
-    fn cold_verb(&self, conn: &mut Conn, value: &JsonRef<'_>, id: Option<&JsonRef<'_>>) -> bool {
+    fn cold_verb(&self, conn: &mut Conn<Solve>, line: &Line<'_>) -> bool {
         let m = &self.shared.metrics;
-        let disp: Option<&dyn fmt::Display> = id.map(|v| v as &dyn fmt::Display);
-        let request = match request_from_value(value) {
+        let disp = line.display_id();
+        let request = match request_from_value(line.value) {
             Ok(r) => r,
             Err(e) => {
-                m.inc(&m.errors);
-                conn.with_out(|out| render_err(out, disp, &e));
+                self.fail(conn, disp, &e);
                 return true;
             }
         };
@@ -1063,7 +499,6 @@ impl EventLoop {
                     render_ok_head(out, disp, "ping");
                     out.push_str(",\"pong\":true}");
                 });
-                true
             }
             Request::Stats => {
                 m.inc(&m.stats_requests);
@@ -1073,7 +508,6 @@ impl EventLoop {
                     render_ok_head(out, disp, "stats");
                     let _ = write!(out, ",\"stats\":{snapshot},\"clusters\":{clusters}}}");
                 });
-                true
             }
             Request::Shutdown => {
                 m.inc(&m.shutdown_requests);
@@ -1082,9 +516,8 @@ impl EventLoop {
                     render_ok_head(out, disp, "shutdown");
                     out.push_str(",\"draining\":true}");
                 });
-                conn.eof = true;
-                conn.closing = true;
-                false
+                conn.close_after_flush();
+                return false;
             }
             Request::Register { cluster, spec } => {
                 m.inc(&m.register_requests);
@@ -1101,12 +534,8 @@ impl EventLoop {
                         }
                         out.push_str("]}");
                     }),
-                    Err(e) => {
-                        m.inc(&m.errors);
-                        conn.with_out(|out| render_err(out, disp, &e));
-                    }
+                    Err(e) => self.fail(conn, disp, &e),
                 }
-                true
             }
             Request::Report { target, machine, x, elapsed_us } => {
                 m.inc(&m.report_requests);
@@ -1134,26 +563,15 @@ impl EventLoop {
                             );
                         });
                     }
-                    Err(e) => {
-                        m.inc(&m.errors);
-                        conn.with_out(|out| render_err(out, disp, &e));
-                    }
+                    Err(e) => self.fail(conn, disp, &e),
                 }
-                true
             }
             Request::Partition { .. } | Request::PartitionBatch { .. } => {
                 unreachable!("partition verbs dispatch on the hot path")
             }
         }
+        true
     }
-}
-
-fn display_id(id: Option<&Json>) -> Option<&dyn fmt::Display> {
-    id.map(|v| v as &dyn fmt::Display)
-}
-
-fn elapsed_us(started: Instant) -> u64 {
-    started.elapsed().as_micros().min(u128::from(u64::MAX)) as u64
 }
 
 fn count_cache_status(m: &Metrics, status: CacheStatus) {
@@ -1166,33 +584,8 @@ fn count_cache_status(m: &Metrics, status: CacheStatus) {
 
 // --- response rendering -------------------------------------------------
 //
-// These write the exact byte sequences `protocol::ok_response` /
-// `protocol::err_response` produce, directly into a reused buffer: the
-// warm path allocates nothing beyond growing that buffer. The protocol
-// tests cross-check the two renderers.
-
-fn render_id(out: &mut String, id: Option<&dyn fmt::Display>) {
-    if let Some(id) = id {
-        let _ = write!(out, "\"id\":{id},");
-    }
-}
-
-fn render_ok_head(out: &mut String, id: Option<&dyn fmt::Display>, verb: &str) {
-    out.push('{');
-    render_id(out, id);
-    let _ = write!(out, "\"ok\":true,\"verb\":{}", JsonStr(verb));
-}
-
-fn render_err(out: &mut String, id: Option<&dyn fmt::Display>, error: &ProtoError) {
-    out.push('{');
-    render_id(out, id);
-    let _ = write!(
-        out,
-        "\"ok\":false,\"error\":{},\"message\":{}}}",
-        JsonStr(error.code),
-        JsonStr(&error.message)
-    );
-}
+// Like the protocol renderers these write the exact bytes of the
+// value-tree responses straight into a reused buffer.
 
 fn render_plan_fields(out: &mut String, plan: &Plan, cached: bool) {
     // counts/makespan/steps are rendered once per plan and memoised (warm
@@ -1253,7 +646,8 @@ fn render_batch(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::{BufRead, BufReader};
+    use crate::protocol::MAX_FRAME_BYTES;
+    use std::io::{BufRead, BufReader, Write};
 
     #[test]
     fn spawns_on_ephemeral_port_and_answers_ping() {
@@ -1286,6 +680,27 @@ mod tests {
         // Connection is closed after the error.
         line.clear();
         assert_eq!(reader.read_line(&mut line).unwrap(), 0);
+        handle.shutdown_and_join();
+    }
+
+    #[test]
+    fn requests_read_after_the_stop_are_refused() {
+        let handle = spawn(ServerConfig::default()).unwrap();
+        let mut stream = TcpStream::connect(handle.addr).unwrap();
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        writeln!(stream, r#"{{"id":1,"verb":"ping"}}"#).unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        assert!(line.contains("pong"), "{line}");
+        // Flip the flag without waking the loop, so the next thing it
+        // reads is the request itself: refused, then closed.
+        std::thread::sleep(Duration::from_millis(50));
+        handle.shared.stopping.store(true, Ordering::SeqCst);
+        writeln!(stream, r#"{{"id":2,"verb":"ping"}}"#).unwrap();
+        let mut rest = String::new();
+        std::io::Read::read_to_string(&mut reader, &mut rest).unwrap();
+        let refusal = ProtoError::new("shutting_down", "server is draining");
+        assert_eq!(rest, crate::protocol::err_response(None, &refusal) + "\n");
         handle.shutdown_and_join();
     }
 

@@ -7,7 +7,9 @@
 //! * the request parser in isolation (pure function, checked under
 //!   [`assert_no_panic`]);
 //! * a live server, over real sockets, with the same corpus plus framing
-//!   attacks (oversized lines, binary garbage, truncation mid-request).
+//!   attacks (oversized lines, binary garbage, truncation mid-request);
+//!   the re-segmented pipelined bursts also go through a router in front
+//!   of two shards.
 //!
 //! The `report` verb gets its own corpus on top: non-finite / negative /
 //! zero measurements, out-of-range machine indices and unregistered
@@ -20,12 +22,13 @@
 //! `FPM_TESTKIT_SEED` so failures replay exactly.
 
 use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
+use fpm_router::RouterConfig;
 use fpm_serve::json::Json;
 use fpm_serve::protocol::parse_request;
-use fpm_serve::server::{spawn, ServerConfig};
+use fpm_serve::server::{spawn, ServerConfig, ServerHandle};
 use fpm_testkit::conformance::{env_base_seed, env_cases};
 use fpm_testkit::fault::assert_no_panic;
 use rand::{Rng, RngCore, SeedableRng};
@@ -431,18 +434,53 @@ fn pipelined_bursts_survive_arbitrary_frame_splits() {
     // garbage interleaved mid-burst. Replies must still come back exactly
     // one per non-empty line, in request order, with ids echoed.
     let cases = env_cases(100).clamp(20, 200);
-    let mut rng = ChaCha8Rng::seed_from_u64(env_base_seed(0xF0_55ED) ^ 0x9199);
+    let seed = env_base_seed(0xF0_55ED) ^ 0x9199;
     // A whole burst may arrive in one readable event and hit a cold
     // cache; the queue must hold it so no frame is shed (shedding under
     // overload is tested elsewhere — here order is under test).
-    let handle = spawn(ServerConfig {
-        queue_capacity: 256,
-        ..ServerConfig::default()
+    let config = ServerConfig { queue_capacity: 256, ..ServerConfig::default() };
+    let handle = spawn(config.clone()).expect("spawn server");
+    // The router reassembles frames too, answering part of every burst
+    // itself and forwarding the rest: the same bursts go through it.
+    let shards: Vec<ServerHandle> =
+        (0..2).map(|_| spawn(config.clone()).expect("spawn shard")).collect();
+    let router = fpm_router::spawn(RouterConfig {
+        shards: shards.iter().map(|s| s.addr).collect(),
+        probe_interval_ms: 50,
+        ..RouterConfig::default()
     })
-    .expect("spawn server");
+    .expect("spawn router");
 
+    for addr in [handle.addr, router.addr] {
+        pipelined_bursts(addr, cases, seed);
+    }
+    router.shutdown_and_join();
+    for shard in shards {
+        shard.shutdown_and_join();
+    }
+
+    let stats = handle.shutdown_and_join();
+    assert!(
+        stats.get("pipeline_depth_peak").and_then(Json::as_u64).unwrap_or(0) >= 1,
+        "bursts must register in pipeline metrics"
+    );
+    assert!(
+        stats.get("report_requests").and_then(Json::as_u64).unwrap_or(0) >= 1,
+        "bursts must carry report frames"
+    );
+    assert_eq!(
+        stats.get("refine_accepted").and_then(Json::as_u64),
+        Some(0),
+        "every burst report is in-band or malformed — none may refit"
+    );
+}
+
+/// Registers the `pipe` cluster at `addr`, then sends `cases` seeded
+/// bursts, each split into random segments, and checks every reply.
+fn pipelined_bursts(addr: SocketAddr, cases: usize, seed: u64) {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
     let mut client =
-        fpm_serve::client::Client::connect(handle.addr, Duration::from_secs(10)).expect("connect");
+        fpm_serve::client::Client::connect(addr, Duration::from_secs(10)).expect("connect");
     client
         .register_inline(
             "pipe",
@@ -525,7 +563,7 @@ fn pipelined_bursts_survive_arbitrary_frame_splits() {
 
         // Deliver the burst in random segments: sometimes everything at
         // once, sometimes byte-by-byte across a request boundary.
-        let stream = TcpStream::connect(handle.addr).expect("connect");
+        let stream = TcpStream::connect(addr).expect("connect");
         stream.set_read_timeout(Some(Duration::from_secs(30))).expect("timeout");
         let mut writer = stream.try_clone().expect("clone");
         let bytes = burst.as_bytes();
@@ -586,22 +624,8 @@ fn pipelined_bursts_survive_arbitrary_frame_splits() {
         }
     }
 
-    // The server must still answer cleanly after every mutated burst.
+    // The endpoint must still answer cleanly after every mutated burst.
     let mut client =
-        fpm_serve::client::Client::connect(handle.addr, Duration::from_secs(10)).expect("connect");
-    client.ping().expect("server alive after pipelined fuzzing");
-    let stats = handle.shutdown_and_join();
-    assert!(
-        stats.get("pipeline_depth_peak").and_then(Json::as_u64).unwrap_or(0) >= 1,
-        "bursts must register in pipeline metrics"
-    );
-    assert!(
-        stats.get("report_requests").and_then(Json::as_u64).unwrap_or(0) >= 1,
-        "bursts must carry report frames"
-    );
-    assert_eq!(
-        stats.get("refine_accepted").and_then(Json::as_u64),
-        Some(0),
-        "every burst report is in-band or malformed — none may refit"
-    );
+        fpm_serve::client::Client::connect(addr, Duration::from_secs(10)).expect("connect");
+    client.ping().expect("endpoint alive after pipelined fuzzing");
 }
