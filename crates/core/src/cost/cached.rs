@@ -112,6 +112,10 @@ impl<F: CostFunction + ?Sized> CostFunction for CachedCost<'_, F> {
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         self.inner.intersect_slope(slope)
     }
+
+    fn has_closed_form(&self) -> bool {
+        self.inner.has_closed_form()
+    }
 }
 
 #[cfg(test)]

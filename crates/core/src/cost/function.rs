@@ -72,9 +72,46 @@ pub trait CostFunction {
     /// Closed-form solution of `rate(x) = slope` (equivalently
     /// `time(x) = 1/slope`), if this model has one. `None` sends the
     /// solvers down the numeric bracketing path.
+    ///
+    /// Models that answer in closed form:
+    ///
+    /// * [`PiecewiseLinearCost`](crate::cost::PiecewiseLinearCost)
+    ///   (measured cost knots);
+    /// * through the blanket adapter, the speed models with a closed
+    ///   form: [`ConstantSpeed`](crate::speed::ConstantSpeed),
+    ///   [`PiecewiseLinearSpeed`](crate::speed::PiecewiseLinearSpeed) and
+    ///   [`ScaledSpeed`](crate::speed::ScaledSpeed) over either;
+    /// * [`SortCost`](crate::cost::SortCost) and
+    ///   [`QueryCost`](crate::cost::QueryCost) over a base that answers,
+    ///   by a few closed-form inversions of that base;
+    /// * the forwarding wrappers ([`CachedCost`](crate::cost::CachedCost),
+    ///   [`CachedSpeed`](crate::speed::CachedSpeed),
+    ///   [`SharedCachedSpeed`](crate::speed::SharedCachedSpeed) and the
+    ///   erased references) over a model that answers.
+    ///
+    /// [`AnalyticSpeed`](crate::speed::AnalyticSpeed), simulated machines
+    /// and custom models keep the default `None`.
+    ///
+    /// An answer must keep the numeric search's semantics: a finite,
+    /// non-negative abscissa, clamped to [`max_size`](Self::max_size)
+    /// when the line never catches the curve inside the modelled domain.
+    /// A non-finite or negative answer is treated as `None`.
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         let _ = slope;
         None
+    }
+
+    /// Whether [`intersect_slope`](Self::intersect_slope) answers in
+    /// closed form, without running an intersection.
+    ///
+    /// The default probes `intersect_slope(1.0)`, which is cheap for a
+    /// model that answers directly. Wrappers whose intersection is itself
+    /// iterative ([`SortCost`](crate::cost::SortCost),
+    /// [`QueryCost`](crate::cost::QueryCost)) or that merely forward
+    /// ([`CachedCost`](crate::cost::CachedCost), the erased references)
+    /// ask their inner model instead.
+    fn has_closed_form(&self) -> bool {
+        self.intersect_slope(1.0).is_some()
     }
 }
 
@@ -132,6 +169,10 @@ impl<'a> CostFunction for &'a (dyn CostFunction + 'a) {
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
     }
+
+    fn has_closed_form(&self) -> bool {
+        (**self).has_closed_form()
+    }
 }
 
 /// Same forwarding for the thread-safe erased form used by the serving
@@ -155,6 +196,10 @@ impl<'a> CostFunction for &'a (dyn CostFunction + Send + Sync + 'a) {
 
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
+    }
+
+    fn has_closed_form(&self) -> bool {
+        (**self).has_closed_form()
     }
 }
 

@@ -23,7 +23,8 @@
 //!   counterpart of [`crate::speed::PiecewiseLinearSpeed`];
 //! * [`SortCost`] / [`QueryCost`] — borrow-wrapping transforms that
 //!   impose an `x·log₂ x` comparison-sort or `x^(1+γ)` query/join cost
-//!   on an elementwise base model.
+//!   on an elementwise base model, and intersect origin lines in closed
+//!   form wherever that base does.
 //!
 //! [`SpeedFunction`]: crate::speed::SpeedFunction
 

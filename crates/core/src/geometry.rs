@@ -12,7 +12,10 @@
 //! The shape assumption (`g(x) = s(x)/x` strictly decreasing) guarantees
 //! that the intersection of any origin line with any graph is unique, which
 //! makes [`intersect_origin_line`] a one-dimensional monotone root-finding
-//! problem solved by bisection.
+//! problem. Models that can invert it in closed form answer through
+//! [`CostFunction::intersect_slope`] (piece-wise models, constant speeds,
+//! and the sort/query transforms over them); every other model is solved
+//! by exponential bracketing and bisection.
 //!
 //! The machinery is written against the time-domain [`CostFunction`]
 //! contract: `g` is [`CostFunction::rate`] (`= 1/time(x)`), strictly
@@ -68,19 +71,26 @@ const X_ORIGIN: f64 = 1e-9;
 ///   abscissa is clamped to [`CostFunction::max_size`] (or to an internal
 ///   cap of `10^18` for unbounded models).
 ///
-/// The root is located by exponential bracketing followed by bisection to
-/// sub-element precision.
+/// Models with a closed form answer through
+/// [`CostFunction::intersect_slope`]; otherwise the root is located by
+/// exponential bracketing followed by bisection to sub-element precision.
 pub fn intersect_origin_line<F: CostFunction + ?Sized>(f: &F, slope: f64) -> f64 {
     assert!(slope.is_finite() && slope > 0.0, "slope must be positive and finite");
     let g = |x: f64| f.rate(x);
     let x_max = f.max_size().min(X_CAP);
 
-    // Models with a closed-form intersection (piece-wise linear, constant)
-    // skip the bracketing/bisection search entirely — the dominant cost of
-    // every partitioning iteration.
+    // Models with a closed-form intersection (piece-wise linear, constant,
+    // and the sort/query transforms over them) skip the bracketing/bisection
+    // search entirely — the dominant cost of every partitioning iteration.
+    // A non-finite or negative answer counts as no closed form: `f64::min`
+    // would turn a NaN into `x_max` and hand the machine its whole domain.
+    // The test is a plain float range check; spelled with `is_finite` it
+    // compiled to integer bit tests that slowed a p = 1080 linear solve by
+    // ~10 % on x86-64.
     if let Some(x) = f.intersect_slope(slope) {
-        debug_assert!(x >= 0.0, "closed-form intersection must be non-negative");
-        return x.min(x_max);
+        if (0.0..=f64::MAX).contains(&x) {
+            return x.min(x_max);
+        }
     }
 
     // The line is steeper than the graph already at vanishing size: the
@@ -249,6 +259,43 @@ mod tests {
         let x = intersect_origin_line(&f, 1.0); // time(x) = 1 ⇒ first knot
         assert!((x - 100.0).abs() < 1e-9, "x = {x}");
         assert_eq!(intersect_origin_line(&f, 1e-9), 1000.0, "clamps to max_size");
+    }
+
+    #[test]
+    fn non_finite_or_negative_closed_forms_fall_back_to_the_numeric_search() {
+        // time(x) = x²/1e4 on a bounded domain, with and without a broken
+        // closed form.
+        struct Numeric;
+        impl CostFunction for Numeric {
+            fn time(&self, x: f64) -> f64 {
+                if x <= 0.0 {
+                    0.0
+                } else {
+                    x * x / 1e4
+                }
+            }
+            fn max_size(&self) -> f64 {
+                1e6
+            }
+        }
+        struct Broken(f64);
+        impl CostFunction for Broken {
+            fn time(&self, x: f64) -> f64 {
+                Numeric.time(x)
+            }
+            fn max_size(&self) -> f64 {
+                Numeric.max_size()
+            }
+            fn intersect_slope(&self, _slope: f64) -> Option<f64> {
+                Some(self.0)
+            }
+        }
+        let numeric = intersect_origin_line(&Numeric, 0.5);
+        assert!((numeric - 2e4f64.sqrt()).abs() < 1e-6, "x = {numeric}");
+        for bad in [f64::NAN, f64::INFINITY, -1.0] {
+            let x = intersect_origin_line(&Broken(bad), 0.5);
+            assert_eq!(x.to_bits(), numeric.to_bits(), "closed form {bad}");
+        }
     }
 
     #[test]

@@ -225,7 +225,7 @@ impl Partitioner for CombinedPartitioner {
         // per key and never read. Skip the wrapper there; keep it for
         // models that fall back to the numeric intersection search, whose
         // exponential bracketing re-probes the same abscissas every sweep.
-        let closed_form = funcs.iter().all(|f| f.intersect_slope(1.0).is_some());
+        let closed_form = funcs.iter().all(|f| f.has_closed_form());
         let warm = if self.eval_cache && !closed_form {
             let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
             self.resolve_from_inner(n, &cached, seed)

@@ -39,7 +39,7 @@ use crate::checks::{
     check_conservation, check_exchange_optimal, check_iteration_bound, check_makespan_gap,
     BoundClass,
 };
-use crate::gen::{CaseSpec, GenConfig};
+use crate::gen::{CaseSpec, GenConfig, WireCluster};
 
 /// Conformance tolerances.
 #[derive(Debug, Clone, Copy)]
@@ -449,6 +449,117 @@ pub fn check_warm_start(case: &CaseSpec) -> Vec<CaseFailure> {
     failures
 }
 
+/// A cost model view that forwards `time`, `max_size`, `throughput` and
+/// `rate` but never answers [`CostFunction::intersect_slope`], so every
+/// intersection through it — and through a sort or query transform over
+/// it — runs the numeric bracketing search. This is the path the
+/// closed-form transform intersections replaced, kept as their
+/// differential reference ([`check_closed_form`]).
+pub struct NumericOnly<'a>(pub &'a dyn CostFunction);
+
+impl CostFunction for NumericOnly<'_> {
+    fn time(&self, x: f64) -> f64 {
+        self.0.time(x)
+    }
+
+    fn max_size(&self) -> f64 {
+        self.0.max_size()
+    }
+
+    fn throughput(&self, x: f64) -> f64 {
+        self.0.throughput(x)
+    }
+
+    fn rate(&self, x: f64) -> f64 {
+        self.0.rate(x)
+    }
+}
+
+/// Differentially pins the closed-form intersections of the sort and
+/// query transforms on one cluster: for each nonlinear registry entry, a
+/// cold solve and warm [`resolve_from`] solves at `|Δn|/n ≤ 1e-3` must be
+/// **bit-identical** — equal counts and equal makespan bits — to the same
+/// solves over the cluster wrapped in [`NumericOnly`].
+///
+/// The cost-domain oracle intersects through the same closed forms, so
+/// [`check_cost_case`] alone cannot catch a wrong one; this check can.
+///
+/// [`resolve_from`]: fpm_core::planner::AlgorithmId::resolve_from
+pub fn check_closed_form(
+    seed: u64,
+    descriptor: &str,
+    n: u64,
+    funcs: &[&dyn CostFunction],
+) -> Vec<CaseFailure> {
+    let numeric: Vec<NumericOnly<'_>> = funcs.iter().map(|&f| NumericOnly(f)).collect();
+    let numeric = erase(&numeric);
+    let mut failures = Vec::new();
+    let mut diverged = |algorithm: &'static str, what: String| {
+        failures.push(CaseFailure {
+            seed,
+            algorithm,
+            descriptor: descriptor.to_string(),
+            message: format!("closed form and numeric search diverged on the {what}"),
+        })
+    };
+    for info in registry().iter().filter(|i| i.cost.nonlinear()) {
+        let id = info.id_with(1.0);
+        let cold = id.solve(n, funcs);
+        if let Some(m) = plan_mismatch(&cold, &id.solve(n, &numeric)) {
+            diverged(info.name, format!("cold solve at n={n}: {m}"));
+        }
+        let Ok(donor) = cold else { continue };
+        let donor = donor.distribution.counts();
+        let delta = n / 1000;
+        for m in [n + delta, n - delta, n + delta / 3] {
+            let warm = id.resolve_from(donor, m, funcs);
+            if let Some(e) = plan_mismatch(&warm, &id.resolve_from(donor, m, &numeric)) {
+                diverged(info.name, format!("warm solve at n={m} (donor n={n}): {e}"));
+            }
+        }
+    }
+    failures
+}
+
+/// Why two solve outcomes differ, if they do: counts and makespan bits
+/// for two plans, any two errors counting as equal.
+fn plan_mismatch(
+    a: &fpm_core::Result<PartitionReport>,
+    b: &fpm_core::Result<PartitionReport>,
+) -> Option<String> {
+    match (a, b) {
+        (Ok(a), Ok(b)) => {
+            let same = a.distribution.counts() == b.distribution.counts()
+                && a.makespan.to_bits() == b.makespan.to_bits();
+            (!same).then(|| format!("makespan {} vs {}", a.makespan, b.makespan))
+        }
+        (Err(_), Err(_)) => None,
+        (Ok(_), Err(e)) | (Err(e), Ok(_)) => Some(format!("only one side failed: {e}")),
+    }
+}
+
+/// Runs the closed-form differential ([`check_closed_form`]) over seeded
+/// clusters: per seed, the cost-conformance cluster ([`CaseSpec`], whose
+/// piece-wise machines answer in closed form beside numeric ones) and the
+/// all-piece-wise [`WireCluster`], whose every machine answers in closed
+/// form.
+pub fn run_closed_form_sweep(config: &ConformanceConfig) -> ConformanceReport {
+    let cases = if config.cases == 0 { 150 } else { config.cases };
+    let mut report = ConformanceReport::default();
+    for i in 0..cases {
+        let seed = config.base_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let case = CaseSpec::from_seed(seed, &config.gen);
+        let refs = erase(&case.funcs);
+        report.failures.extend(check_closed_form(seed, &case.descriptor, case.n, &refs));
+        let wire = WireCluster::from_seed(seed, &config.gen);
+        let models = wire.build();
+        let descriptor = format!("wire p={} n={}", models.len(), wire.n);
+        report.failures.extend(check_closed_form(seed, &descriptor, wire.n, &erase(&models)));
+        report.cases_run += 1;
+    }
+    report
+}
+
 /// Runs the warm-start differential sweep over seeded clusters: every
 /// registry entry, every case, cold vs warm bit-identity
 /// ([`check_warm_start`]).
@@ -517,6 +628,7 @@ pub fn run_cost_conformance(config: &ConformanceConfig) -> ConformanceReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpm_core::speed::PiecewiseLinearSpeed;
 
     #[test]
     fn small_sweep_is_clean() {
@@ -578,6 +690,35 @@ mod tests {
         for f in &strict {
             assert!(nonlinear.contains(&f.algorithm), "unexpected entry {}", f.algorithm);
         }
+    }
+
+    #[test]
+    fn closed_form_check_catches_a_wrong_closed_form() {
+        // A piece-wise model whose closed form is off by 1 %: the cold
+        // sort and query plans must differ from the numeric search's.
+        struct Skewed(PiecewiseLinearSpeed);
+        impl CostFunction for Skewed {
+            fn time(&self, x: f64) -> f64 {
+                CostFunction::time(&self.0, x)
+            }
+            fn max_size(&self) -> f64 {
+                CostFunction::max_size(&self.0)
+            }
+            fn throughput(&self, x: f64) -> f64 {
+                CostFunction::throughput(&self.0, x)
+            }
+            fn intersect_slope(&self, slope: f64) -> Option<f64> {
+                CostFunction::intersect_slope(&self.0, slope).map(|x| x * 1.01)
+            }
+        }
+        let wire = WireCluster::from_seed(0xC105_EDF1, &GenConfig::default());
+        let skewed: Vec<Skewed> = wire.build().into_iter().map(Skewed).collect();
+        let failures = check_closed_form(0xC105_EDF1, "skewed", wire.n, &erase(&skewed));
+        assert!(
+            failures.iter().any(|f| f.algorithm == "sort-sample")
+                && failures.iter().any(|f| f.algorithm == "query"),
+            "{failures:?}"
+        );
     }
 
     #[test]

@@ -12,8 +12,8 @@ use fpm_core::speed::{check_single_intersection, AnalyticSpeed, SpeedFunction, W
 use fpm_exec::pool::WorkerPool;
 use fpm_simnet::{FluctuatingMeasurer, Integration};
 use fpm_testkit::conformance::{
-    env_base_seed, env_cases, env_cost_cases, run_conformance, run_cost_conformance,
-    ConformanceConfig,
+    env_base_seed, env_cases, env_cost_cases, run_closed_form_sweep, run_conformance,
+    run_cost_conformance, ConformanceConfig,
 };
 use fpm_testkit::fault::{assert_no_panic, FaultKind, FaultyMeasurer};
 
@@ -47,6 +47,25 @@ fn cost_conformance_sweep_nonlinear_entries_match_cost_oracles() {
     };
     let report = run_cost_conformance(&config);
     eprintln!("cost conformance: {}", report.summary());
+    assert!(report.cases_run >= config.cases);
+    report.assert_ok();
+}
+
+/// Closed-form differential: the sort and query transforms intersect
+/// through their base model's closed form, and the cost-domain oracle
+/// uses the same intersections, so the sweep above cannot see a wrong
+/// closed form. Here every cold and warm sort/query plan must equal, bit
+/// for bit, the plan of the numeric search over the same cluster. Scaled
+/// with `FPM_TESTKIT_COST_CASES` like the cost-domain sweep.
+#[test]
+fn closed_form_transforms_match_the_numeric_search_plan_for_plan() {
+    let config = ConformanceConfig {
+        cases: env_cost_cases(150),
+        base_seed: env_base_seed(0xD1FF_CA5E_0000_0003),
+        ..ConformanceConfig::default()
+    };
+    let report = run_closed_form_sweep(&config);
+    eprintln!("closed-form differential: {}", report.summary());
     assert!(report.cases_run >= config.cases);
     report.assert_ok();
 }
