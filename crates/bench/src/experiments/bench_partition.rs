@@ -59,10 +59,10 @@ pub const BENCH_MM_N: usize = 512;
 #[derive(Debug, Clone, Copy)]
 pub struct BenchPartitionResults {
     /// `partition(n, funcs)` with every optimisation on (the default):
-    /// closed-form intersections, batched lookups, evaluation cache.
+    /// closed-form intersections and the evaluation cache.
     pub partition_optimized_ns: u128,
     /// The seed behaviour: numeric bracketing + bisection per
-    /// intersection, point-wise probes, no cache (see `SeedView`).
+    /// intersection, no cache (see `SeedView`).
     pub partition_seed_ns: u128,
     /// Cold solve of the near-duplicate size (`BENCH_N + BENCH_N/1000`):
     /// full bracket construction plus the `O(log n)` slope search.

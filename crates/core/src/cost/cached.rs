@@ -1,18 +1,46 @@
 //! Memoizing wrapper for cost functions — the per-run cache the solvers
-//! wrap every model in.
+//! wrap every model in, and the only memoizer in the crate.
 
 use std::cell::{Cell, RefCell};
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use super::function::CostFunction;
-use crate::speed::BitsMap;
+
+/// Multiply-shift hasher for the cache's `u64` bit-pattern keys.
+///
+/// The keys are raw IEEE-754 bit patterns — already high-entropy in the
+/// mantissa — so the DoS-resistant SipHash of the default `HashMap` only
+/// adds latency: the cache sits on the hot path of every probe and the
+/// fine-tuning heap issues thousands of them per solve. One Fibonacci
+/// multiply mixes the bits plenty for open addressing.
+#[derive(Default)]
+struct BitsHasher(u64);
+
+impl Hasher for BitsHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        }
+    }
+
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+type BitsMap = HashMap<u64, f64, BuildHasherDefault<BitsHasher>>;
 
 /// A [`CostFunction`] decorator that memoizes `time(x)` and
 /// `throughput(x)` per abscissa.
 ///
-/// The cost-domain successor of [`crate::speed::CachedSpeed`]: the
-/// partitioners probe each processor at the same abscissas many times
-/// over (bracket shrinking re-evaluates intersections, the fine-tuning
-/// heap queries `time()` at the same `2p` integer candidates
+/// The partitioners probe each processor at the same abscissas many
+/// times over (bracket shrinking re-evaluates intersections, the
+/// fine-tuning heap queries `time()` at the same `2p` integer candidates
 /// repeatedly), so each distinct abscissa is computed once and replayed.
 /// Keys are the raw IEEE-754 bits of `x`, and the replayed value *is*
 /// the inner function's output, so memoization is bit-invisible.
@@ -28,8 +56,8 @@ use crate::speed::BitsMap;
 /// Borrows its inner function (`&F`), matching how solvers build one
 /// wrapper per processor per run over a caller-owned slice.
 ///
-/// Like `CachedSpeed`, this wrapper is deliberately **not** `Sync`
-/// (single-threaded `RefCell` interior, one wrapper per solver run):
+/// The wrapper is deliberately **not** `Sync` (single-threaded
+/// `RefCell` interior, one wrapper per solver run):
 ///
 /// ```compile_fail
 /// fn assert_sync<T: Sync>() {}
@@ -121,7 +149,7 @@ impl<F: CostFunction + ?Sized> CostFunction for CachedCost<'_, F> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speed::{AnalyticSpeed, CachedSpeed, PiecewiseLinearSpeed, SpeedFunction};
+    use crate::speed::{AnalyticSpeed, PiecewiseLinearSpeed, SpeedFunction};
 
     #[test]
     fn caches_repeated_probes_per_channel() {
@@ -141,19 +169,19 @@ mod tests {
     }
 
     #[test]
-    fn replays_speed_backed_models_bit_identically_to_cached_speed() {
+    fn replays_speed_backed_models_bit_identically() {
         let inner = AnalyticSpeed::unimodal(250.0, 1e4, 5e6, 2.0);
-        let legacy = CachedSpeed::new(inner.clone());
         let cost = CachedCost::new(&inner);
-        for k in 0..200 {
-            let x = 10f64.powf(k as f64 * 0.04);
-            assert_eq!(cost.throughput(x).to_bits(), legacy.speed(x).to_bits());
-            assert_eq!(cost.rate(x).to_bits(), (legacy.speed(x) / x).to_bits());
-            assert_eq!(
-                cost.time(x).to_bits(),
-                SpeedFunction::time(&legacy, x).to_bits()
-            );
+        for _round in 0..2 {
+            for k in 0..200 {
+                let x = 10f64.powf(k as f64 * 0.04);
+                assert_eq!(cost.throughput(x).to_bits(), inner.speed(x).to_bits());
+                assert_eq!(cost.rate(x).to_bits(), (inner.speed(x) / x).to_bits());
+                assert_eq!(cost.time(x).to_bits(), SpeedFunction::time(&inner, x).to_bits());
+            }
         }
+        // Two channels × 200 abscissas, each missed once.
+        assert_eq!(cost.misses(), 400);
     }
 
     #[test]

@@ -84,10 +84,8 @@ pub trait CostFunction {
     /// * [`SortCost`](crate::cost::SortCost) and
     ///   [`QueryCost`](crate::cost::QueryCost) over a base that answers,
     ///   by a few closed-form inversions of that base;
-    /// * the forwarding wrappers ([`CachedCost`](crate::cost::CachedCost),
-    ///   [`CachedSpeed`](crate::speed::CachedSpeed),
-    ///   [`SharedCachedSpeed`](crate::speed::SharedCachedSpeed) and the
-    ///   erased references) over a model that answers.
+    /// * the forwarding wrappers ([`CachedCost`](crate::cost::CachedCost)
+    ///   and the erased references) over a model that answers.
     ///
     /// [`AnalyticSpeed`](crate::speed::AnalyticSpeed), simulated machines
     /// and custom models keep the default `None`.

@@ -14,11 +14,11 @@
 //!   single-intersection shape assumption restated in the time domain
 //!   (`time` strictly increasing, see the trait docs);
 //! * a **blanket adapter** from every [`SpeedFunction`]: `time(x) =
-//!   x / speed(x)`, which preserves every closed-form and batched
-//!   override so speed-backed solves are bit-identical to the historical
+//!   x / speed(x)`, which preserves every closed-form override so
+//!   speed-backed solves are bit-identical to the historical
 //!   speed-domain solver;
-//! * [`CachedCost`] — the per-run memoizer the solvers wrap models in
-//!   (the cost-domain successor of [`crate::speed::CachedSpeed`]);
+//! * [`CachedCost`] — the per-run memoizer the solvers wrap models in,
+//!   and the only memoizer of either model domain;
 //! * [`PiecewiseLinearCost`] — measured `(size, time)` knots, the cost
 //!   counterpart of [`crate::speed::PiecewiseLinearSpeed`];
 //! * [`SortCost`] / [`QueryCost`] — borrow-wrapping transforms that

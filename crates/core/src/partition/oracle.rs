@@ -311,21 +311,37 @@ mod tests {
         }
     }
 
+    /// A constant speed that counts its evaluations. It neither memoizes
+    /// nor forwards the constant's closed-form intersection, so every
+    /// intersection runs the numeric search.
+    #[derive(Debug)]
+    struct CountingConstant {
+        speed: f64,
+        evaluations: std::cell::Cell<u64>,
+    }
+
+    impl crate::speed::SpeedFunction for CountingConstant {
+        fn speed(&self, _x: f64) -> f64 {
+            self.evaluations.set(self.evaluations.get() + 1);
+            self.speed
+        }
+    }
+
     #[test]
     fn flat_cluster_terminates_with_bounded_evaluations() {
-        use crate::trace::CountingSpeed;
-        // All speeds equal and no closed-form intersection (CountingSpeed
-        // hides it), the degenerate case where pure relative-tolerance slope
-        // bisection keeps halving long after the integer allocation is
-        // settled. Element closure must stop it early.
-        let funcs: Vec<CountingSpeed<ConstantSpeed>> =
-            (0..8).map(|_| CountingSpeed::new(ConstantSpeed::new(250.0))).collect();
+        // All speeds equal and no closed-form intersection, the degenerate
+        // case where pure relative-tolerance slope bisection keeps halving
+        // long after the integer allocation is settled. Element closure
+        // must stop it early.
+        let funcs: Vec<CountingConstant> = (0..8)
+            .map(|_| CountingConstant { speed: 250.0, evaluations: Default::default() })
+            .collect();
         let r = solve(1_000_000, &funcs).unwrap();
         assert_eq!(r.distribution.total(), 1_000_000);
         for &c in r.distribution.counts() {
             assert_eq!(c, 125_000, "flat cluster must divide evenly");
         }
-        let evals: u64 = funcs.iter().map(|f| f.evaluations()).sum();
+        let evals: u64 = funcs.iter().map(|f| f.evaluations.get()).sum();
         // With element closure this costs ~9k evaluations; without it the
         // bisection keeps halving to float resolution (~52 iterations × 8
         // numeric intersections each) at roughly 3× the cost.

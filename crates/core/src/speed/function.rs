@@ -55,21 +55,6 @@ pub trait SpeedFunction {
         f64::INFINITY
     }
 
-    /// Batched speed evaluation: `out[k] = speed(xs[k])`.
-    ///
-    /// The default forwards to [`SpeedFunction::speed`] point by point.
-    /// Implementations whose lookup has exploitable structure (e.g.
-    /// [`crate::speed::PiecewiseLinearSpeed`]'s segment search over
-    /// sorted/monotone query sequences, as produced by the bisection
-    /// algorithms and the LU step sweep) may override it, but must return
-    /// **bit-identical** results to point-wise `speed()`.
-    fn speeds_at(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "speeds_at buffers must match in length");
-        for (&x, o) in xs.iter().zip(out.iter_mut()) {
-            *o = self.speed(x);
-        }
-    }
-
     /// Closed-form intersection of the graph with the origin line
     /// `y = slope·x`, if the model can solve it analytically.
     ///
@@ -96,9 +81,6 @@ impl<T: SpeedFunction + ?Sized> SpeedFunction for &T {
     fn max_size(&self) -> f64 {
         (**self).max_size()
     }
-    fn speeds_at(&self, xs: &[f64], out: &mut [f64]) {
-        (**self).speeds_at(xs, out)
-    }
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
     }
@@ -114,9 +96,6 @@ impl<T: SpeedFunction + ?Sized> SpeedFunction for Box<T> {
     fn max_size(&self) -> f64 {
         (**self).max_size()
     }
-    fn speeds_at(&self, xs: &[f64], out: &mut [f64]) {
-        (**self).speeds_at(xs, out)
-    }
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
     }
@@ -131,9 +110,6 @@ impl<T: SpeedFunction + ?Sized> SpeedFunction for std::sync::Arc<T> {
     }
     fn max_size(&self) -> f64 {
         (**self).max_size()
-    }
-    fn speeds_at(&self, xs: &[f64], out: &mut [f64]) {
-        (**self).speeds_at(xs, out)
     }
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
@@ -207,12 +183,6 @@ impl<F: SpeedFunction> SpeedFunction for ScaledSpeed<F> {
     }
     fn max_size(&self) -> f64 {
         self.inner.max_size()
-    }
-    fn speeds_at(&self, xs: &[f64], out: &mut [f64]) {
-        self.inner.speeds_at(xs, out);
-        for o in out.iter_mut() {
-            *o *= self.factor;
-        }
     }
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         // factor·s(x) = slope·x ⇔ s(x) = (slope/factor)·x at the same x.

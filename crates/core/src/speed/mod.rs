@@ -20,7 +20,6 @@
 mod analytic;
 mod band;
 pub mod builder;
-mod cached;
 mod function;
 mod hierarchical;
 mod piecewise;
@@ -30,8 +29,6 @@ pub mod surface;
 pub use analytic::AnalyticSpeed;
 pub use band::{BandPoint, SpeedBand, WidthLaw};
 pub use builder::{build_speed_band, BuildOutcome, BuilderConfig, Measurer};
-pub(crate) use cached::BitsMap;
-pub use cached::{CachedSpeed, SharedCachedSpeed};
 pub use function::{check_single_intersection, ConstantSpeed, ScaledSpeed, SpeedFunction};
 pub use hierarchical::{HierarchicalSpeed, MemoryLevel};
 pub use piecewise::PiecewiseLinearSpeed;

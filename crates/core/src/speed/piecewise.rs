@@ -147,46 +147,6 @@ impl SpeedFunction for PiecewiseLinearSpeed {
         self.points[self.points.len() - 1].0
     }
 
-    /// Batched lookup with a segment hint. The bisection algorithms and the
-    /// LU step sweep probe monotone abscissa sequences, so the containing
-    /// segment moves by a few knots between consecutive queries; a walk
-    /// from the previous segment then beats a fresh binary search per
-    /// probe. The walk is bidirectional, so arbitrary query orders remain
-    /// correct (just without the speed-up).
-    ///
-    /// Produces bit-identical results to point-wise [`Self::speed`]: the
-    /// walk reproduces `partition_point(|&(xk, _)| xk < x)` exactly, and
-    /// the interpolation arithmetic is the same expression.
-    fn speeds_at(&self, xs: &[f64], out: &mut [f64]) {
-        assert_eq!(xs.len(), out.len(), "speeds_at buffers must match in length");
-        let pts = &self.points;
-        let first = pts[0];
-        let last = pts[pts.len() - 1];
-        // Hint: index of the segment's upper knot, as partition_point
-        // returns it for interior queries (1..pts.len()-1).
-        let mut idx = 1usize;
-        for (&x, o) in xs.iter().zip(out.iter_mut()) {
-            if x <= first.0 {
-                *o = first.1;
-                continue;
-            }
-            if x >= last.0 {
-                *o = last.1;
-                continue;
-            }
-            while idx > 1 && pts[idx - 1].0 >= x {
-                idx -= 1;
-            }
-            while pts[idx].0 < x {
-                idx += 1;
-            }
-            let (x0, s0) = pts[idx - 1];
-            let (x1, s1) = pts[idx];
-            let t = (x - x0) / (x1 - x0);
-            *o = s0 + t * (s1 - s0);
-        }
-    }
-
     /// Closed-form intersection with the origin line `y = slope·x`.
     ///
     /// `g(x) = s(x)/x` is strictly decreasing (validated at construction),

@@ -1,14 +1,9 @@
-//! Instrumentation for the partitioning algorithms: per-iteration traces and
-//! speed-evaluation counters.
+//! Instrumentation for the partitioning algorithms: per-iteration traces.
 //!
 //! Traces serve two purposes: regenerating the paper's illustrative figures
 //! (the bisection walk of Fig. 8, the solution-space shrinkage of
 //! Figs. 10–12) and substantiating the complexity claims (`O(p·log n)` vs
 //! `O(p²·log n)`) in the ablation benchmarks.
-
-use std::cell::Cell;
-
-use crate::speed::SpeedFunction;
 
 /// One iteration of a line-searching partitioner.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,8 +29,6 @@ pub struct IterationRecord {
 pub struct Trace {
     /// The iterations in order.
     pub iterations: Vec<IterationRecord>,
-    /// Total number of speed-function evaluations performed.
-    pub speed_evaluations: u64,
     /// Whether the run was seeded from a previous solution's slope (the
     /// warm-start path). `false` for cold solves and for warm requests
     /// that fell back to the cold bracket construction.
@@ -49,72 +42,9 @@ impl Trace {
     }
 }
 
-/// Wrapper counting how many times a speed function is evaluated.
-///
-/// The complexity results of paper §2 are stated in terms of intersection
-/// computations, each a constant number of speed evaluations; this wrapper
-/// makes those counts observable in tests and benchmarks.
-#[derive(Debug)]
-pub struct CountingSpeed<F> {
-    inner: F,
-    count: Cell<u64>,
-}
-
-impl<F: SpeedFunction> CountingSpeed<F> {
-    /// Wraps `inner` with a fresh zeroed counter.
-    pub fn new(inner: F) -> Self {
-        Self { inner, count: Cell::new(0) }
-    }
-
-    /// Number of `speed` evaluations so far.
-    pub fn evaluations(&self) -> u64 {
-        self.count.get()
-    }
-
-    /// Resets the counter to zero.
-    pub fn reset(&self) {
-        self.count.set(0);
-    }
-
-    /// The wrapped function.
-    pub fn inner(&self) -> &F {
-        &self.inner
-    }
-}
-
-impl<F: SpeedFunction> SpeedFunction for CountingSpeed<F> {
-    fn speed(&self, x: f64) -> f64 {
-        self.count.set(self.count.get() + 1);
-        self.inner.speed(x)
-    }
-    fn max_size(&self) -> f64 {
-        self.inner.max_size()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::speed::ConstantSpeed;
-
-    #[test]
-    fn counter_counts_and_resets() {
-        let f = CountingSpeed::new(ConstantSpeed::new(5.0));
-        assert_eq!(f.evaluations(), 0);
-        let _ = f.speed(1.0);
-        let _ = f.speed(2.0);
-        assert_eq!(f.evaluations(), 2);
-        f.reset();
-        assert_eq!(f.evaluations(), 0);
-        assert_eq!(f.inner().speed, 5.0);
-    }
-
-    #[test]
-    fn counting_preserves_values() {
-        let f = CountingSpeed::new(ConstantSpeed::new(7.0));
-        assert_eq!(f.speed(10.0), 7.0);
-        assert_eq!(f.max_size(), f64::INFINITY);
-    }
 
     #[test]
     fn trace_steps() {

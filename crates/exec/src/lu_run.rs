@@ -60,11 +60,9 @@ pub fn simulate_lu<F: SpeedFunction>(
     funcs: &[F],
 ) -> Result<LuRunResult> {
     let prep = LuPrep::new(n, block, block_owner, funcs)?;
-    // Per-processor speed sweep, batched: every step-k lookup hits an
-    // abscissa x_of(blocks) with 1 ≤ blocks ≤ initially-owned, so the
-    // whole table is computed up front with `speeds_at` over a monotone
-    // abscissa grid (which piece-wise linear models serve with a segment
-    // walk instead of a binary search per probe).
+    // Per-processor speed sweep: every step-k lookup hits an abscissa
+    // x_of(blocks) with 1 ≤ blocks ≤ initially-owned, so the whole table
+    // is computed up front, once per owned-block count.
     let tables: Vec<Vec<f64>> = funcs
         .iter()
         .zip(&prep.initial_owned)
@@ -132,12 +130,9 @@ impl LuPrep {
         (blocks * self.block as f64 * self.n as f64).max(1.0)
     }
 
-    /// `speed(x_of(blocks))` for `blocks = 1..=cnt`, batched.
+    /// `speed(x_of(blocks))` for `blocks = 1..=cnt`.
     fn sweep_speeds<F: SpeedFunction>(&self, f: &F, cnt: usize) -> Vec<f64> {
-        let xs: Vec<f64> = (1..=cnt).map(|blocks| self.x_of(blocks as f64)).collect();
-        let mut out = vec![0.0f64; xs.len()];
-        f.speeds_at(&xs, &mut out);
-        out
+        (1..=cnt).map(|blocks| f.speed(self.x_of(blocks as f64))).collect()
     }
 
     /// Walks the factorisation using the precomputed speed tables

@@ -7,11 +7,10 @@
 //! problem sizes, by many applications. This crate turns the partitioners
 //! into a long-lived network service:
 //!
-//! * [`registry`] — named clusters of speed functions, addressable by name
-//!   or content fingerprint, shared across threads via
-//!   [`fpm_core::speed::SharedCachedSpeed`], refined online by the
-//!   `report` verb with a per-cluster epoch bumped on every accepted
-//!   refinement;
+//! * [`registry`] — named clusters of piece-wise speed or cost models,
+//!   addressable by name or content fingerprint, shared across threads
+//!   as [`registry::SharedCost`], refined online by the `report` verb
+//!   with a per-cluster epoch bumped on every accepted refinement;
 //! * [`cache`] — a sharded LRU plan cache keyed by `(fingerprint, epoch,
 //!   n, algorithm)` with single-flight deduplication of concurrent misses;
 //! * [`engine`] — bounded admission over the process-wide

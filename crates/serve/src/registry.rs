@@ -5,19 +5,18 @@
 //! A machine is modelled either by a speed function (the paper's
 //! `(size, speed)` knots) or directly in the time domain (`cost_knots`,
 //! `(size, time)` pairs); both erase to [`SharedCost`] for the solver.
-//! Speed models are wrapped in [`SharedCachedSpeed`] so repeated
-//! partitions of the same cluster reuse point evaluations across requests
-//! *and* threads, and the whole cluster is held behind `Arc` so lookups
-//! hand out cheap clones without holding the registry lock during solves.
+//! Either model evaluates with one binary search over its knots, so the
+//! registry holds them as they are and leaves memoization to the
+//! solvers' per-run [`CachedCost`](fpm_core::cost::CachedCost). The
+//! whole cluster is held behind `Arc` so lookups hand out cheap clones
+//! without holding the registry lock during solves.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};
 
 use fpm_core::cost::{CostFunction, PiecewiseLinearCost};
 use fpm_core::speed::builder::BuilderConfig;
-use fpm_core::speed::{
-    ModelRefiner, PiecewiseLinearSpeed, RefineConfig, RefineOutcome, SharedCachedSpeed,
-};
+use fpm_core::speed::{ModelRefiner, PiecewiseLinearSpeed, RefineConfig, RefineOutcome};
 use fpm_exec::model_build::build_cluster_models;
 use fpm_simnet::fluctuation::Integration;
 use fpm_simnet::profile::AppProfile;
@@ -27,14 +26,11 @@ use crate::json::Json;
 use crate::protocol::{ClusterRef, ClusterRefView, ClusterSpec, ProtoError, WireModel};
 
 /// A thread-safe cost function: the erased form every registered machine
-/// is solved through. Speed machines enter as evaluation-cached
-/// [`SharedCachedSpeed`] wrappers (adapted through the blanket
-/// `SpeedFunction → CostFunction` impl, so their floating-point path is
-/// unchanged); cost machines enter as [`PiecewiseLinearCost`] directly.
+/// is solved through. Speed machines enter as [`PiecewiseLinearSpeed`]
+/// (adapted through the blanket `SpeedFunction → CostFunction` impl, so
+/// their floating-point path is unchanged); cost machines enter as
+/// [`PiecewiseLinearCost`].
 pub type SharedCost = Arc<dyn CostFunction + Send + Sync>;
-
-/// Former name of [`SharedCost`], kept for embedders.
-pub type SharedSpeed = SharedCost;
 
 /// The raw piece-wise model backing one registered machine: either a
 /// speed function (the paper's `(size, speed)` knots) or a direct
@@ -96,11 +92,10 @@ pub struct RegisteredCluster {
     pub prev_fingerprint: Option<String>,
     /// Machine names, in model order.
     pub machine_names: Vec<String>,
-    /// The cost functions the engine solves over (speed machines are
-    /// shared and evaluation-cached; cost machines are solved directly).
+    /// The cost functions the engine solves over: `models`, erased.
     pub funcs: Vec<SharedCost>,
-    /// The raw piece-wise models backing `funcs` — the refiner's input
-    /// for speed machines (the evaluation-cache wrapper is opaque).
+    /// The piece-wise models backing `funcs` — the refiner's input for
+    /// speed machines and the fingerprint's input for all of them.
     pub models: Vec<MachineModel>,
     /// Reports that produced a re-fit.
     pub refine_accepted: u64,
@@ -160,6 +155,29 @@ struct Maps {
     by_fp: HashMap<String, Arc<RegisteredCluster>>,
 }
 
+impl Maps {
+    /// Re-aims the `by_fp` alias of `fp` after a name moved off it.
+    ///
+    /// Names with equal knots share one fingerprint, so the alias may be
+    /// the snapshot that was just replaced. It must never stay there: a
+    /// later `report` by fingerprint would clone that snapshot back in
+    /// and roll its name back to an older epoch. The alias moves to the
+    /// current snapshot of the first name (in name order) still holding
+    /// `fp`, or goes when none does.
+    fn release_fingerprint(&mut self, fp: &str) {
+        let holder = self
+            .by_name
+            .values()
+            .filter(|c| c.fingerprint == fp)
+            .min_by(|a, b| a.name.cmp(&b.name))
+            .cloned();
+        match holder {
+            Some(c) => self.by_fp.insert(fp.to_owned(), c),
+            None => self.by_fp.remove(fp),
+        };
+    }
+}
+
 impl Registry {
     /// Creates a registry bounded to `max_clusters` names.
     pub fn new(max_clusters: usize) -> Self {
@@ -177,11 +195,7 @@ impl Registry {
         let funcs: Vec<SharedCost> = models
             .iter()
             .map(|m| match m {
-                MachineModel::Speed(m) => {
-                    Arc::new(SharedCachedSpeed::new(m.clone())) as SharedCost
-                }
-                // Cost evaluation is closed-form (no bisection per point),
-                // so no shared evaluation cache is needed.
+                MachineModel::Speed(m) => Arc::new(m.clone()) as SharedCost,
                 MachineModel::Cost(m) => Arc::new(m.clone()) as SharedCost,
             })
             .collect();
@@ -203,15 +217,7 @@ impl Registry {
             return Err(ProtoError::new("bad_request", "registry full"));
         }
         if let Some(old) = maps.by_name.insert(name.to_owned(), Arc::clone(&cluster)) {
-            // Drop the stale fingerprint alias unless some *other* name
-            // still maps to the same content.
-            let still_used = maps
-                .by_name
-                .values()
-                .any(|c| c.fingerprint == old.fingerprint);
-            if !still_used {
-                maps.by_fp.remove(&old.fingerprint);
-            }
+            maps.release_fingerprint(&old.fingerprint);
         }
         maps.by_fp.insert(cluster.fingerprint.clone(), Arc::clone(&cluster));
         Ok(cluster)
@@ -316,9 +322,7 @@ impl Registry {
         let reason = outcome.reason();
         let accepted = outcome.accepted();
         if let RefineOutcome::Refined(model) = outcome {
-            // Fresh evaluation cache: memoised points of the old model
-            // must not leak into the refined one.
-            next.funcs[machine] = Arc::new(SharedCachedSpeed::new(model.clone()));
+            next.funcs[machine] = Arc::new(model.clone());
             next.models[machine] = MachineModel::Speed(model);
             next.prev_fingerprint = Some(old.fingerprint.clone());
             next.fingerprint = fingerprint_models(&next.models);
@@ -330,11 +334,7 @@ impl Registry {
         let next = Arc::new(next);
         maps.by_name.insert(next.name.clone(), Arc::clone(&next));
         if next.fingerprint != old.fingerprint {
-            let still_used =
-                maps.by_name.values().any(|c| c.fingerprint == old.fingerprint);
-            if !still_used {
-                maps.by_fp.remove(&old.fingerprint);
-            }
+            maps.release_fingerprint(&old.fingerprint);
         }
         maps.by_fp.insert(next.fingerprint.clone(), Arc::clone(&next));
         Ok(ReportOutcome {
@@ -555,6 +555,96 @@ mod tests {
         assert!(reg
             .lookup(&ClusterRef::Fingerprint(shared.fingerprint.clone()))
             .is_ok());
+    }
+
+    /// The `by_fp` alias of `fp` must be a snapshot that some name
+    /// currently holds, never one a later write replaced.
+    fn assert_alias_is_current(reg: &Registry, fp: &str) {
+        let aliased = reg.lookup_ref(ClusterRefView::Fingerprint(fp)).unwrap();
+        let current = reg.lookup_ref(ClusterRefView::Name(&aliased.name)).unwrap();
+        assert!(
+            Arc::ptr_eq(&aliased, &current),
+            "fingerprint {fp} aliases a replaced snapshot of {:?} (epoch {} vs {})",
+            aliased.name,
+            aliased.epoch,
+            current.epoch
+        );
+    }
+
+    #[test]
+    fn report_by_shared_fingerprint_never_rolls_back_a_refit() {
+        let reg = Registry::new(8);
+        reg.register("b", &inline_spec(1.0)).unwrap();
+        let a0 = reg.register("a", &inline_spec(1.0)).unwrap();
+        let shared = a0.fingerprint.clone();
+        let x = 5e5;
+        let slow = speed_at(&a0.models[0], x) * 0.7;
+        reg.report(ClusterRefView::Name("a"), 0, x, elapsed_us_for(x, slow)).unwrap();
+        let refit = reg.report(ClusterRefView::Name("a"), 0, x, elapsed_us_for(x, slow)).unwrap();
+        assert!(refit.accepted);
+        assert_eq!(refit.epoch, 1);
+        assert_alias_is_current(&reg, &shared);
+
+        // An in-band report by the shared fingerprint lands on "b", the
+        // name still holding that content; "a" keeps its refit.
+        let in_band = speed_at(&a0.models[0], x) * 1.02;
+        let out = reg
+            .report(ClusterRefView::Fingerprint(&shared), 0, x, elapsed_us_for(x, in_band))
+            .unwrap();
+        assert_eq!((out.reason, out.epoch), ("in_band", 0));
+        let a = reg.lookup(&ClusterRef::Name("a".into())).unwrap();
+        assert_eq!(a.epoch, 1, "epochs never decrease");
+        assert_eq!(a.fingerprint, refit.fingerprint);
+        let b = reg.lookup(&ClusterRef::Name("b".into())).unwrap();
+        assert_eq!(b.refine_rejected, 1);
+        assert_alias_is_current(&reg, &shared);
+    }
+
+    #[test]
+    fn report_by_shared_fingerprint_never_reverts_a_reregistration() {
+        let reg = Registry::new(8);
+        reg.register("b", &inline_spec(1.0)).unwrap();
+        let a0 = reg.register("a", &inline_spec(1.0)).unwrap();
+        let a1 = reg.register("a", &inline_spec(2.0)).unwrap();
+        assert_alias_is_current(&reg, &a0.fingerprint);
+
+        let x = 5e5;
+        let in_band = speed_at(&a0.models[0], x) * 1.02;
+        reg.report(ClusterRefView::Fingerprint(&a0.fingerprint), 0, x, elapsed_us_for(x, in_band))
+            .unwrap();
+        let a = reg.lookup(&ClusterRef::Name("a".into())).unwrap();
+        assert_eq!(a.fingerprint, a1.fingerprint, "\"a\" keeps its re-registered knots");
+        assert_eq!(a.models, a1.models);
+        let b = reg.lookup(&ClusterRef::Name("b".into())).unwrap();
+        assert_eq!(b.refine_rejected, 1);
+        assert_alias_is_current(&reg, &a0.fingerprint);
+    }
+
+    /// Compile-time audit of the `Send + Sync` surface: every model a
+    /// registry shares across threads via `Arc` must be `Send + Sync`,
+    /// and the erased forms must still satisfy the solver contract.
+    #[test]
+    fn send_sync_surface_is_as_documented() {
+        use fpm_core::speed::{AnalyticSpeed, ConstantSpeed, ScaledSpeed, SpeedFunction};
+
+        fn assert_send_sync<T: Send + Sync>() {}
+        fn assert_cost_function<T: CostFunction>() {}
+
+        assert_send_sync::<ConstantSpeed>();
+        assert_send_sync::<AnalyticSpeed>();
+        assert_send_sync::<PiecewiseLinearSpeed>();
+        assert_send_sync::<ScaledSpeed<PiecewiseLinearSpeed>>();
+        assert_send_sync::<PiecewiseLinearCost>();
+        // The shape a registry actually stores: shared, dynamically typed.
+        assert_send_sync::<SharedCost>();
+        assert_send_sync::<Vec<SharedCost>>();
+        assert_send_sync::<Arc<dyn SpeedFunction + Send + Sync>>();
+        assert_send_sync::<RegisteredCluster>();
+        assert_send_sync::<Registry>();
+        // A shared speed model is a cost function through the blanket
+        // adapter; a `SharedCost` is one through its borrow.
+        assert_cost_function::<Arc<dyn SpeedFunction + Send + Sync>>();
+        assert_cost_function::<&(dyn CostFunction + Send + Sync)>();
     }
 
     #[test]

@@ -9,13 +9,12 @@
 //! strictly decreasing) — drawn from the same families the production code
 //! supports: the closed-form [`AnalyticSpeed`] shapes of paper Fig. 5, the
 //! piece-wise linear representation the paper recommends building from
-//! experiments, memoized [`CachedSpeed`] wrappers, and full
-//! memory-hierarchy [`fpm_simnet`] machine models. The deliberately
-//! adversarial `exp_tail` shape (the basic algorithm's documented `O(n)`
-//! worst case) is *not* in the default mix; opt in via
+//! experiments, and full memory-hierarchy [`fpm_simnet`] machine models.
+//! The deliberately adversarial `exp_tail` shape (the basic algorithm's
+//! documented `O(n)` worst case) is *not* in the default mix; opt in via
 //! [`GenConfig::kinds`].
 
-use fpm_core::speed::{AnalyticSpeed, CachedSpeed, PiecewiseLinearSpeed, SpeedFunction, WidthLaw};
+use fpm_core::speed::{AnalyticSpeed, PiecewiseLinearSpeed, SpeedFunction, WidthLaw};
 use fpm_simnet::{random_cluster, AppProfile, FluctuatingMeasurer, ScenarioConfig};
 use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -37,8 +36,6 @@ pub enum ModelKind {
     StepLevels,
     /// Piece-wise linear model sampled from an admissible analytic truth.
     Piecewise,
-    /// A memoizing [`CachedSpeed`] wrapper around an analytic shape.
-    Cached,
     /// The basic algorithm's exponential-tail worst case. **Not** in the
     /// default mix: it is admissible but makes the basic bisection `O(n)`.
     ExpTail,
@@ -55,7 +52,6 @@ impl ModelKind {
             ModelKind::Paging => "page",
             ModelKind::StepLevels => "step",
             ModelKind::Piecewise => "pwl",
-            ModelKind::Cached => "cache",
             ModelKind::ExpTail => "exp",
         }
     }
@@ -98,7 +94,6 @@ impl Default for GenConfig {
                 ModelKind::Paging,
                 ModelKind::StepLevels,
                 ModelKind::Piecewise,
-                ModelKind::Cached,
             ],
         }
     }
@@ -227,17 +222,6 @@ fn make_model(
             Box::new(AnalyticSpeed::step_levels(steps))
         }
         ModelKind::Piecewise => piecewise_model(rng, peak, raw_n),
-        ModelKind::Cached => {
-            // Wrap a fresh analytic shape; the memoization must be
-            // observationally transparent to every algorithm.
-            let inner_kind = match rng.gen_range(0u8..3) {
-                0 => ModelKind::Decreasing,
-                1 => ModelKind::Saturating,
-                _ => ModelKind::Unimodal,
-            };
-            let inner = make_model(rng, inner_kind, peak, raw_n);
-            Box::new(CachedSpeed::new(inner))
-        }
         ModelKind::ExpTail => {
             let scale = raw_n * rng.gen_range(0.05..=0.5);
             Box::new(AnalyticSpeed::exp_tail(peak, scale))

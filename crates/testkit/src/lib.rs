@@ -7,7 +7,7 @@
 //! reproducible tooling that the other crates' test suites consume:
 //!
 //! * [`gen`] — seeded generators for admissible heterogeneous clusters:
-//!   analytic, piece-wise linear, cached, and simnet-profile-derived speed
+//!   analytic, piece-wise linear and simnet-profile-derived speed
 //!   functions, with heterogeneity/paging/scale knobs. Every case is fully
 //!   determined by a single `u64` seed. [`gen::DriftScenario`] extends
 //!   this with stale-model clusters (a drifted "truth" per machine) for

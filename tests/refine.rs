@@ -28,7 +28,7 @@ use std::time::Duration;
 use fpm_core::speed::{ModelRefiner, RefineConfig, RefineOutcome, SpeedFunction};
 use fpm_serve::client::Client;
 use fpm_serve::engine::solve;
-use fpm_serve::registry::SharedSpeed;
+use fpm_serve::registry::SharedCost;
 use fpm_serve::server::{spawn, ServerConfig};
 use fpm_serve::AlgorithmId;
 use fpm_testkit::conformance::{env_base_seed, env_drift_cases};
@@ -124,8 +124,8 @@ fn epoch_bump_invalidates_cache_bit_exactly() {
                 panic!("seed {seed:#x}: local refiner rejected ({})", r.as_str())
             }
         };
-        let funcs: Vec<SharedSpeed> = std::iter::once(Arc::new(refined) as SharedSpeed)
-            .chain(initial.iter().skip(1).map(|m| Arc::new(m.clone()) as SharedSpeed))
+        let funcs: Vec<SharedCost> = std::iter::once(Arc::new(refined) as SharedCost)
+            .chain(initial.iter().skip(1).map(|m| Arc::new(m.clone()) as SharedCost))
             .collect();
         let local = solve(algorithm, scenario.n, &funcs)
             .unwrap_or_else(|e| panic!("seed {seed:#x}: local solve failed: {e}"));

@@ -21,7 +21,7 @@ use fpm_serve::client::Client;
 use fpm_serve::engine::solve;
 use fpm_serve::json::Json;
 use fpm_serve::AlgorithmId;
-use fpm_serve::registry::{SharedCost, SharedSpeed};
+use fpm_serve::registry::SharedCost;
 use fpm_serve::server::{spawn, ServerConfig};
 use fpm_testkit::conformance::{env_base_seed, env_cases};
 use fpm_testkit::{GenConfig, WireCluster};
@@ -56,10 +56,10 @@ fn server_plans_are_bit_identical_to_local_solves() {
         assert_eq!(reg.machines.len(), wire.models.len(), "seed {seed:#x}");
 
         // Local oracle: identical knots, identical algorithm.
-        let local_funcs: Vec<SharedSpeed> = wire
+        let local_funcs: Vec<SharedCost> = wire
             .build()
             .into_iter()
-            .map(|m| Arc::new(m) as SharedSpeed)
+            .map(|m| Arc::new(m) as SharedCost)
             .collect();
         let algorithm = ALGORITHMS[i % ALGORITHMS.len()];
 
