@@ -29,7 +29,9 @@ fn bench_partition_cost(c: &mut Criterion) {
 }
 
 /// Ablation of the per-run evaluation cache: the same fig21 workload with
-/// memoized speed probes (the default) against raw re-evaluation.
+/// memoized speed probes (the default) against raw re-evaluation. It runs
+/// the paper-literal strategy, because the default solve's seeded search
+/// skips the memo on closed-form models such as these.
 fn bench_eval_cache(c: &mut Criterion) {
     let mut group = c.benchmark_group("fig21_eval_cache");
     group.sample_size(20);
@@ -40,7 +42,7 @@ fn bench_eval_cache(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new(label, n), &n, |bench, &n| {
             let partitioner = CombinedPartitioner::new().with_eval_cache(cached);
             bench.iter(|| {
-                let r = partitioner.partition(black_box(n), &funcs).unwrap();
+                let (r, _) = partitioner.partition_explain(black_box(n), &funcs).unwrap();
                 black_box(r.distribution.total())
             })
         });

@@ -3,7 +3,9 @@
 use std::time::Instant;
 
 use fpm_core::cost::{QueryCost, SortCost};
-use fpm_core::partition::{BisectionPartitioner, Partitioner, SlopeMode, DEFAULT_QUERY_GAMMA};
+use fpm_core::partition::{
+    BisectionPartitioner, CombinedPartitioner, Partitioner, SlopeMode, DEFAULT_QUERY_GAMMA,
+};
 use fpm_core::partition::oracle;
 use fpm_core::planner::{erase, registry, CostClass};
 use fpm_core::speed::builder::{build_speed_band, BuilderConfig};
@@ -103,8 +105,15 @@ pub fn algorithms() -> Report {
             .with_slope_mode(SlopeMode::Geometric)
             .partition(n, &funcs);
         push("basic/geometric", result, start.elapsed().as_micros(), reference.makespan);
+        // And the paper-literal Fig. 15 strategy behind `combined`, which
+        // searches from the Fig. 18 initial lines instead of the
+        // single-number seed.
+        let start = Instant::now();
+        let result = CombinedPartitioner::new().partition_explain(n, &funcs).map(|(r, _)| r);
+        push("combined/paper", result, start.elapsed().as_micros(), reference.makespan);
     }
     r.note("expected: all converging algorithms within 1.01 of the oracle; basic (tangent slope mode) needs orders of magnitude more steps (or diverges) on exp-tail clusters");
+    r.note("combined/paper: the Fig. 15 strategy from the Fig. 18 initial lines; combined itself starts from the single-number line and returns the same plan");
     r
 }
 
@@ -188,10 +197,15 @@ mod tests {
     #[test]
     fn algorithms_report_has_all_rows() {
         let r = algorithms();
-        // One row per production registry entry plus the slope-mode
-        // ablation, per cluster case.
-        let per_case = registry().iter().filter(|i| !i.baseline).count() + 1;
+        // One row per production registry entry plus the slope-mode and
+        // the paper-literal combined ablations, per cluster case.
+        let per_case = registry().iter().filter(|i| !i.baseline).count() + 2;
         assert_eq!(r.rows.len(), 3 * per_case);
+        // The paper-literal strategy returns the seeded combined plan.
+        for case in r.rows.chunks(per_case) {
+            let ratio_of = |algo: &str| case.iter().find(|row| row[2] == algo).map(|row| &row[5]);
+            assert_eq!(ratio_of("combined/paper"), ratio_of("combined"), "{:?}", case[0]);
+        }
         let steps_of = |cluster: &str, algo: &str| -> f64 {
             r.rows
                 .iter()

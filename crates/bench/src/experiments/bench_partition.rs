@@ -5,8 +5,10 @@
 //! land in a machine-readable artifact):
 //!
 //! * `CombinedPartitioner::partition` on the fig21 synthetic cluster at
-//!   `p = 1080`, `n = 2·10⁹`, with and without the per-run evaluation
-//!   cache (the uncached path is the seed behaviour);
+//!   `p = 1080`, `n = 2·10⁹`, against the paper-literal Fig. 15 strategy
+//!   (`partition_explain`) with and without its per-run evaluation cache
+//!   and closed-form intersections (the uncached numeric path is the seed
+//!   behaviour);
 //! * whole-cluster model building (paper §3.1) on the Table 2 testbed,
 //!   pooled vs sequential;
 //! * the packed `matmul_abt_blocked` kernel vs the seed's plain tiled
@@ -59,13 +61,18 @@ pub const BENCH_MM_N: usize = 512;
 #[derive(Debug, Clone, Copy)]
 pub struct BenchPartitionResults {
     /// `partition(n, funcs)` with every optimisation on (the default):
-    /// closed-form intersections and the evaluation cache.
+    /// the search seeded from the single-number line, closed-form
+    /// intersections, and the evaluation cache where models lack them.
     pub partition_optimized_ns: u128,
-    /// The seed behaviour: numeric bracketing + bisection per
-    /// intersection, no cache (see `SeedView`).
+    /// The paper-literal Fig. 15 strategy (`partition_explain`) from the
+    /// Fig. 18 initial lines, with closed-form intersections and the
+    /// evaluation cache.
+    pub partition_paper_ns: u128,
+    /// The seed behaviour: the paper-literal strategy with numeric
+    /// bracketing + bisection per intersection, no cache (see `SeedView`).
     pub partition_seed_ns: u128,
     /// Cold solve of the near-duplicate size (`BENCH_N + BENCH_N/1000`):
-    /// full bracket construction plus the `O(log n)` slope search.
+    /// the search seeded from the single-number line at `n/p`.
     pub partition_cold_near_ns: u128,
     /// Warm solve of the same near-duplicate size, seeded from the
     /// `BENCH_N` solution via `resolve_from` (tight bracket, `O(p)` work
@@ -114,17 +121,23 @@ pub fn measure() -> BenchPartitionResults {
         let r = optimized.partition(BENCH_N, &funcs).unwrap();
         assert_eq!(r.distribution.total(), BENCH_N);
     };
+    let run_paper = || {
+        let (r, _) = optimized.partition_explain(BENCH_N, &funcs).unwrap();
+        assert_eq!(r.distribution.total(), BENCH_N);
+    };
     let run_seed = || {
-        let r = seed.partition(BENCH_N, &seed_views).unwrap();
+        let (r, _) = seed.partition_explain(BENCH_N, &seed_views).unwrap();
         assert_eq!(r.distribution.total(), BENCH_N);
     };
     run_optimized();
+    run_paper();
     let partition_optimized_ns = median_ns(9, run_optimized);
+    let partition_paper_ns = median_ns(9, run_paper);
     let partition_seed_ns = median_ns(9, run_seed);
 
     // Cold vs warm on a near-duplicate request (|Δn|/n = 1e-3): the warm
-    // path reconstructs the donor solution's slope and seeds a tight
-    // bracket instead of re-running the full cold bracket construction.
+    // path reconstructs the donor solution's slope, the cold path seeds
+    // from its own single-number line; both then search a tight bracket.
     let donor = optimized.partition(BENCH_N, &funcs).unwrap();
     let near_n = BENCH_N + BENCH_N / 1000;
     let run_cold_near = || {
@@ -209,6 +222,7 @@ pub fn measure() -> BenchPartitionResults {
 
     BenchPartitionResults {
         partition_optimized_ns,
+        partition_paper_ns,
         partition_seed_ns,
         partition_cold_near_ns,
         partition_warm_ns,
@@ -233,6 +247,7 @@ pub fn to_json(r: &BenchPartitionResults) -> Json {
                 ("p".into(), Json::uint(BENCH_P as u64)),
                 ("n".into(), Json::uint(BENCH_N)),
                 ("median_ns".into(), ns(r.partition_optimized_ns)),
+                ("paper_median_ns".into(), ns(r.partition_paper_ns)),
                 ("seed_median_ns".into(), ns(r.partition_seed_ns)),
                 ("warm_delta_n".into(), Json::uint(BENCH_N / 1000)),
                 ("cold_near_median_ns".into(), ns(r.partition_cold_near_ns)),
@@ -270,7 +285,7 @@ pub fn run() -> Report {
     let results = measure();
     let mut r = Report::new(
         "bench_partition",
-        "Optimised vs seed paths: partition eval cache, pooled model build, packed kernel",
+        "Optimised vs seed paths: seeded partition, pooled model build, packed kernel",
         &["measurement", "optimised (ns)", "baseline (ns)", "speedup"],
     );
     r.push_row(vec![
@@ -278,6 +293,12 @@ pub fn run() -> Report {
         results.partition_optimized_ns.to_string(),
         results.partition_seed_ns.to_string(),
         fnum(speedup(results.partition_seed_ns, results.partition_optimized_ns), 2),
+    ]);
+    r.push_row(vec![
+        format!("partition seeded vs paper-literal p={BENCH_P} n={BENCH_N}"),
+        results.partition_optimized_ns.to_string(),
+        results.partition_paper_ns.to_string(),
+        fnum(speedup(results.partition_paper_ns, results.partition_optimized_ns), 2),
     ]);
     r.push_row(vec![
         format!("partition warm-start p={BENCH_P} |dn|/n=1e-3"),
@@ -310,7 +331,8 @@ pub fn run() -> Report {
         Ok(path) => r.note(format!("raw medians written to {}", path.display())),
         Err(e) => r.note(format!("could not write BENCH_partition.json: {e}")),
     }
-    r.note("baselines are the seed behaviours: uncached probes, sequential build, plain tiled loop");
+    r.note("baselines are the seed behaviours: the paper-literal strategy over uncached numeric probes, sequential build, plain tiled loop");
+    r.note("the seeded-vs-paper row compares the default solve with the paper-literal Fig. 15 strategy on the same optimised models; the warm-start row's baseline is the seeded cold solve");
     r.note("the sort-sample row compares the nonlinear cost-domain solve against the linear solve (its ratio is the transform's overhead, not a speedup)");
     r
 }
@@ -323,6 +345,7 @@ mod tests {
     fn json_shape_is_stable() {
         let r = BenchPartitionResults {
             partition_optimized_ns: 1,
+            partition_paper_ns: 10,
             partition_seed_ns: 2,
             partition_cold_near_ns: 7,
             partition_warm_ns: 8,
@@ -340,6 +363,7 @@ mod tests {
         };
         assert_eq!(at("partition", "p"), Some(1080));
         assert_eq!(at("partition", "median_ns"), Some(1));
+        assert_eq!(at("partition", "paper_median_ns"), Some(10));
         assert_eq!(at("partition", "seed_median_ns"), Some(2));
         assert_eq!(at("partition", "warm_delta_n"), Some(2_000_000));
         assert_eq!(at("partition", "cold_near_median_ns"), Some(7));

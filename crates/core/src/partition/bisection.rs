@@ -18,7 +18,9 @@
 //! [modified algorithm](super::ModifiedPartitioner).
 
 use super::fine_tune::fine_tune;
-use super::initial::{bracket_from_slope_probed, bracket_slopes, BracketProbes, SlopeBracket};
+use super::initial::{
+    bracket_from_slope_probed, bracket_slopes_counted, BracketProbes, SlopeBracket,
+};
 use super::problem::{
     empty_report, seed_slope, validate_processors, Distribution, PartitionReport, Partitioner,
 };
@@ -256,11 +258,9 @@ impl Partitioner for BisectionPartitioner {
             // One cache per processor, shared by the bracketing, the
             // bisection iterations and the fine-tuning heap.
             let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            let bracket = bracket_slopes(n, &cached)?;
-            self.partition_from_bracket(n, &cached, bracket, Trace::default())
+            self.cold(n, &cached)
         } else {
-            let bracket = bracket_slopes(n, funcs)?;
-            self.partition_from_bracket(n, funcs, bracket, Trace::default())
+            self.cold(n, funcs)
         }
     }
 
@@ -289,27 +289,32 @@ impl Partitioner for BisectionPartitioner {
         let seed = seed * (prev.total() as f64 / n as f64);
         if self.eval_cache {
             let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            match bracket_from_slope_probed(n, &cached, seed) {
-                Ok((bracket, probes)) => {
-                    let trace = Trace { warm_bracket: true, ..Trace::default() };
-                    self.resolve_from_bracket_probed(n, &cached, bracket, trace, probes)
-                }
-                Err(_) => {
-                    let bracket = bracket_slopes(n, &cached)?;
-                    self.partition_from_bracket(n, &cached, bracket, Trace::default())
-                }
-            }
+            self.warm(n, &cached, seed)
         } else {
-            match bracket_from_slope_probed(n, funcs, seed) {
-                Ok((bracket, probes)) => {
-                    let trace = Trace { warm_bracket: true, ..Trace::default() };
-                    self.resolve_from_bracket_probed(n, funcs, bracket, trace, probes)
-                }
-                Err(_) => {
-                    let bracket = bracket_slopes(n, funcs)?;
-                    self.partition_from_bracket(n, funcs, bracket, Trace::default())
-                }
+            self.warm(n, funcs, seed)
+        }
+    }
+}
+
+impl BisectionPartitioner {
+    /// The cold path over (possibly cache-wrapped) models: the paper's
+    /// initial lines, then the slope search.
+    fn cold<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
+        let (bracket, bracket_probes) = bracket_slopes_counted(n, funcs)?;
+        let trace = Trace { bracket_probes, ..Trace::default() };
+        self.partition_from_bracket(n, funcs, bracket, trace)
+    }
+
+    /// The warm path over (possibly cache-wrapped) models: the search from
+    /// a bracket seeded at `seed`, or the cold path when the seed fails to
+    /// bracket.
+    fn warm<F: CostFunction>(&self, n: u64, funcs: &[F], seed: f64) -> Result<PartitionReport> {
+        match bracket_from_slope_probed(n, funcs, seed) {
+            Ok((bracket, probes, bracket_probes)) => {
+                let trace = Trace { warm_bracket: true, bracket_probes, ..Trace::default() };
+                self.resolve_from_bracket_probed(n, funcs, bracket, trace, probes)
             }
+            Err(_) => self.cold(n, funcs),
         }
     }
 }

@@ -19,13 +19,26 @@
 //! As a safety net beyond the paper, if the basic stage exhausts its step
 //! budget the combined partitioner falls back to the modified algorithm
 //! rather than failing.
+//!
+//! That strategy is [`CombinedPartitioner::partition_explain`], kept
+//! paper-literal. [`Partitioner::partition`] starts elsewhere. The Fig. 18
+//! probe already measures every machine's throughput at `n/p`, and the
+//! single-number plan built from those numbers is close to the optimum.
+//! Its [`seed_slope`] seeds the warm-start machinery (ε-bracket, regula
+//! falsi, the shared fine-tuning), which then needs a few steps instead of
+//! the ~35 the initial lines take at `p = 1080`. The integer plan is fixed
+//! by the fine-tuning, not by the starting bracket, so the counts and the
+//! makespan bits are those of `partition_explain`. Whenever seeding,
+//! bracketing or the search fails, `partition` runs `partition_explain`,
+//! so errors are identical too.
 
 use super::bisection::BisectionPartitioner;
-use super::initial::{bracket_from_slope_probed, bracket_slopes, SlopeBracket};
+use super::initial::{bracket_from_slope_probed, bracket_slopes_counted, SlopeBracket};
 use super::modified::ModifiedPartitioner;
 use super::problem::{
     empty_report, seed_slope, validate_processors, Distribution, PartitionReport, Partitioner,
 };
+use super::single_number::SingleNumberPartitioner;
 use crate::error::{Error, Result};
 use crate::geometry::intersections_at_slope;
 use crate::cost::{CachedCost, CostFunction};
@@ -54,8 +67,9 @@ pub struct CombinedPartitioner {
     pub basic_step_budget: usize,
     /// Memoize model probes per run (see [`CachedCost`]). One cache per
     /// processor is shared across the probing step, the chosen algorithm,
-    /// a potential fallback and the fine-tuning heap. On by default;
-    /// disable to measure the raw algorithms.
+    /// a potential fallback and the fine-tuning heap. The seeded search
+    /// skips it when every model intersects in closed form. On by
+    /// default; disable to measure the raw algorithms.
     pub eval_cache: bool,
 }
 
@@ -92,8 +106,14 @@ impl CombinedPartitioner {
         (ds * x / s).abs()
     }
 
-    /// Partitions `n` elements and additionally reports which algorithm
-    /// the strategy chose.
+    /// Partitions `n` elements with the paper-literal Fig. 15 strategy
+    /// from the Fig. 18 initial lines, and additionally reports which
+    /// algorithm the strategy chose.
+    ///
+    /// [`Partitioner::partition`] returns the same plan, or the same
+    /// error, but starts from the single-number seed and runs this
+    /// strategy only as its fallback (see the module docs). Use this
+    /// method for the paper's step counts and decision rule.
     pub fn partition_explain<F: CostFunction>(
         &self,
         n: u64,
@@ -118,14 +138,14 @@ impl CombinedPartitioner {
         funcs: &[F],
     ) -> Result<(PartitionReport, CombinedChoice)> {
         let target = n as f64;
-        let bracket = bracket_slopes(n, funcs)?;
+        let (bracket, bracket_probes) = bracket_slopes_counted(n, funcs)?;
 
         // Probing step: one slope bisection of the initial region.
         let trial = 0.5 * (bracket.shallow + bracket.steep);
         let xs = intersections_at_slope(funcs, trial);
         let total: f64 = xs.iter().sum();
         let undershoot = total < target;
-        let mut trace = Trace::default();
+        let mut trace = Trace { bracket_probes, ..Trace::default() };
         trace.iterations.push(IterationRecord {
             step: 1,
             lower_slope: bracket.shallow,
@@ -167,33 +187,89 @@ impl CombinedPartitioner {
 }
 
 impl CombinedPartitioner {
-    /// The warm path over (possibly cache-wrapped) models: basic bisection
-    /// from the seeded bracket, modified as the usual safety net.
+    /// The warm machinery over (possibly cache-wrapped) models: basic
+    /// bisection from the bracket seeded at `seed`, modified as the usual
+    /// safety net. `warm` marks a seed taken from a donor plan in the
+    /// trace. `None` when the seed fails to bracket or the search fails:
+    /// the caller then takes its fallback.
     fn resolve_from_inner<F: CostFunction>(
         &self,
         n: u64,
         funcs: &[F],
         seed: f64,
-    ) -> Option<Result<PartitionReport>> {
-        let (bracket, probes) = match bracket_from_slope_probed(n, funcs, seed) {
-            Ok(seeded) => seeded,
-            Err(_) => return None,
-        };
-        let trace = Trace { warm_bracket: true, ..Trace::default() };
+        warm: bool,
+    ) -> Option<PartitionReport> {
+        let (bracket, probes, bracket_probes) = bracket_from_slope_probed(n, funcs, seed).ok()?;
+        let trace = Trace { warm_bracket: warm, bracket_probes, ..Trace::default() };
         let basic = BisectionPartitioner::new().with_max_steps(self.basic_step_budget);
         match basic.resolve_from_bracket_probed(n, funcs, bracket, trace.clone(), probes) {
-            Ok(report) => Some(Ok(report)),
+            Ok(report) => Some(report),
             Err(Error::NoConvergence { .. }) => {
-                Some(ModifiedPartitioner::new().partition_from_bracket(n, funcs, bracket, trace))
+                ModifiedPartitioner::new().partition_from_bracket(n, funcs, bracket, trace).ok()
             }
-            Err(e) => Some(Err(e)),
+            Err(_) => None,
+        }
+    }
+
+    /// [`Self::resolve_from_inner`] behind the memo rule shared by the
+    /// cold and the warm path.
+    fn solve_from_seed<F: CostFunction>(
+        &self,
+        n: u64,
+        funcs: &[F],
+        seed: f64,
+        warm: bool,
+    ) -> Option<PartitionReport> {
+        // The seeded search probes only a handful of slopes, and when every
+        // model answers `intersect_slope` in closed form each model probe
+        // lands on a fresh `x` — the memo table would be written once
+        // per key and never read. Skip the wrapper there; keep it for
+        // models that fall back to the numeric intersection search, whose
+        // exponential bracketing re-probes the same abscissas every sweep.
+        let closed_form = funcs.iter().all(|f| f.has_closed_form());
+        if self.eval_cache && !closed_form {
+            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
+            self.resolve_from_inner(n, &cached, seed, warm)
+        } else {
+            self.resolve_from_inner(n, funcs, seed, warm)
         }
     }
 }
 
+/// The slope of the single-number plan that the paper's Fig. 18 probe
+/// already measures: every machine's throughput at the homogeneous share
+/// `n/p`, distributed proportionally, then [`seed_slope`] of that plan.
+/// `None` when a probed throughput is non-finite (the paper path then
+/// reports the malformed model) or no machine yields a usable vote.
+fn single_number_seed<F: CostFunction>(n: u64, funcs: &[F]) -> Option<f64> {
+    let share = (n as f64 / funcs.len() as f64).max(1.0);
+    let speeds: Vec<f64> = funcs
+        .iter()
+        .map(|f| {
+            let s = f.throughput(share);
+            s.is_finite().then_some(s.max(0.0))
+        })
+        .collect::<Option<_>>()?;
+    let plan = SingleNumberPartitioner::at_size(share).partition_with_speeds(n, &speeds).ok()?;
+    seed_slope(&plan, funcs)
+}
+
 impl Partitioner for CombinedPartitioner {
+    /// Seeds the warm machinery from the single-number line at `n/p` and
+    /// falls back to the paper-literal
+    /// [`CombinedPartitioner::partition_explain`] whenever seeding,
+    /// bracketing or the search fails. The plan (counts and makespan bits)
+    /// and any error are those of `partition_explain`; only the trace
+    /// differs.
     fn partition<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
-        self.partition_explain(n, funcs).map(|(report, _)| report)
+        validate_processors(funcs)?;
+        if n == 0 {
+            return Ok(empty_report(funcs.len()));
+        }
+        match single_number_seed(n, funcs).and_then(|s| self.solve_from_seed(n, funcs, s, false)) {
+            Some(report) => Ok(report),
+            None => self.partition_explain(n, funcs).map(|(report, _)| report),
+        }
     }
 
     fn resolve_from<F: CostFunction>(
@@ -219,21 +295,8 @@ impl Partitioner for CombinedPartitioner {
         // the optimum further in the same direction, which the bracket
         // widening covers.
         let seed = seed * (prev.total() as f64 / n as f64);
-        // The warm search probes only a handful of slopes, and when every
-        // model answers `intersect_slope` in closed form each model probe
-        // lands on a fresh `x` — the memo table would be written once
-        // per key and never read. Skip the wrapper there; keep it for
-        // models that fall back to the numeric intersection search, whose
-        // exponential bracketing re-probes the same abscissas every sweep.
-        let closed_form = funcs.iter().all(|f| f.has_closed_form());
-        let warm = if self.eval_cache && !closed_form {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.resolve_from_inner(n, &cached, seed)
-        } else {
-            self.resolve_from_inner(n, funcs, seed)
-        };
-        match warm {
-            Some(result) => result,
+        match self.solve_from_seed(n, funcs, seed, true) {
+            Some(report) => Ok(report),
             None => self.partition(n, funcs),
         }
     }
@@ -259,6 +322,9 @@ mod tests {
         for n in [1u64, 5, 999, 77_777, 10_000_000, 2_000_000_000] {
             let r = CombinedPartitioner::new().partition(n, &funcs).unwrap();
             assert_eq!(r.distribution.total(), n, "n = {n}");
+            // The seeded solve returns the paper-literal plan.
+            let paper = CombinedPartitioner::new().partition_explain(n, &funcs).map(|(r, _)| r);
+            assert_same(&Ok(r), &paper, &format!("n = {n}"));
         }
     }
 
@@ -333,6 +399,69 @@ mod tests {
             assert_eq!(cold.makespan.to_bits(), warm.makespan.to_bits(), "n = {n}");
             assert!(warm.trace.warm_bracket, "n = {n}: warm bracket not used");
         }
+    }
+
+    /// Counts, makespan bits and error text of two solve outcomes.
+    fn assert_same(a: &Result<PartitionReport>, b: &Result<PartitionReport>, what: &str) {
+        match (a, b) {
+            (Ok(a), Ok(b)) => {
+                assert_eq!(a.distribution, b.distribution, "{what}");
+                assert_eq!(a.makespan.to_bits(), b.makespan.to_bits(), "{what}");
+            }
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{what}"),
+            _ => panic!("{what}: {a:?} vs {b:?}"),
+        }
+    }
+
+    #[test]
+    fn seeded_cold_solve_keeps_the_plan_above_2_pow_53() {
+        // The single-number seed's floors sum past n here unless capped;
+        // the plan is the one the paper path returns.
+        let funcs = vec![ConstantSpeed::new(3.0), ConstantSpeed::new(1.0)];
+        let n = (1u64 << 60) - 1;
+        let r = CombinedPartitioner::new().partition(n, &funcs).unwrap();
+        assert_eq!(r.distribution.counts(), &[864691128455135248, 288230376151711727]);
+        let paper = CombinedPartitioner::new().partition_explain(n, &funcs).map(|(r, _)| r);
+        assert_same(&Ok(r), &paper, "n = 2^60 - 1");
+    }
+
+    #[test]
+    fn seeded_cold_solve_survives_speeds_that_sum_past_f64_max() {
+        let funcs = vec![ConstantSpeed::new(f64::MAX), ConstantSpeed::new(f64::MAX / 2.0)];
+        let n = 1u64 << 53;
+        let r = CombinedPartitioner::new().partition(n, &funcs);
+        let paper = CombinedPartitioner::new().partition_explain(n, &funcs).map(|(r, _)| r);
+        assert_same(&r, &paper, "n = 2^53");
+    }
+
+    #[test]
+    fn undonatable_donors_fall_back_to_the_cold_plan() {
+        let funcs = mixed_cluster();
+        let p = CombinedPartitioner::new();
+        let n = 3_000_000;
+        let cold = p.partition(n, &funcs).unwrap();
+        for donor in [Distribution::new(vec![0; funcs.len()]), Distribution::new(vec![n])] {
+            let warm = p.resolve_from(&donor, n, &funcs).unwrap();
+            assert!(!warm.trace.warm_bracket, "donor {donor:?}");
+            assert_same(&Ok(warm), &Ok(cold.clone()), &format!("donor {donor:?}"));
+        }
+    }
+
+    #[test]
+    fn a_far_seed_counts_its_bracket_widenings() {
+        // Constant speeds 100 and 50 balance n = 3000 on the slope 0.05;
+        // a seed 10⁶× off must widen its ε-bracket and still land on the
+        // cold plan.
+        let funcs = vec![ConstantSpeed::new(100.0), ConstantSpeed::new(50.0)];
+        let p = CombinedPartitioner::new();
+        let cold = p.partition(3000, &funcs).unwrap();
+        for seed in [0.05 * 1e6, 0.05 * 1e-6] {
+            let far = p.resolve_from_inner(3000, &funcs, seed, false).unwrap();
+            assert!(far.trace.bracket_probes > 0, "seed {seed}");
+            assert_same(&Ok(far), &Ok(cold.clone()), &format!("seed {seed}"));
+        }
+        let near = p.resolve_from_inner(3000, &funcs, 0.05, false).unwrap();
+        assert_eq!(near.trace.bracket_probes, 0);
     }
 
     #[test]

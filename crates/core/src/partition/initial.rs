@@ -61,6 +61,15 @@ pub fn initial_slopes<F: CostFunction>(n: u64, funcs: &[F]) -> Option<(f64, f64)
 /// cannot reach `n` total elements (all models bounded and their combined
 /// capacity is below `n`).
 pub fn bracket_slopes<F: CostFunction>(n: u64, funcs: &[F]) -> Result<SlopeBracket> {
+    bracket_slopes_counted(n, funcs).map(|(bracket, _)| bracket)
+}
+
+/// [`bracket_slopes`], additionally returning how many times the bracket
+/// was widened (see [`crate::trace::Trace::bracket_probes`]).
+pub(crate) fn bracket_slopes_counted<F: CostFunction>(
+    n: u64,
+    funcs: &[F],
+) -> Result<(SlopeBracket, usize)> {
     debug_assert!(n > 0 && !funcs.is_empty());
     let target = n as f64;
 
@@ -97,27 +106,30 @@ pub fn bracket_slopes<F: CostFunction>(n: u64, funcs: &[F]) -> Result<SlopeBrack
     // never fall below the target would drive `steep *= 4.0` into overflow;
     // treat that as the model violation it is rather than spinning until
     // the step guard reports a misleading NoConvergence.
-    let mut guard = 0;
+    let mut steep_widenings = 0;
     while total_elements_at_slope(funcs, steep) > target {
         steep *= 4.0;
-        guard += 1;
+        steep_widenings += 1;
         if !steep.is_finite() {
             return Err(Error::InvalidSpeedFunction {
                 processor: 0,
                 reason: "element total never undershoots the target at any finite slope",
             });
         }
-        if guard > 400 {
-            return Err(Error::NoConvergence { algorithm: "bracket_slopes(steep)", steps: guard });
+        if steep_widenings > 400 {
+            return Err(Error::NoConvergence {
+                algorithm: "bracket_slopes(steep)",
+                steps: steep_widenings,
+            });
         }
     }
     // Ensure the shallow side overshoots the target; if the models are
     // bounded this may be impossible.
-    guard = 0;
+    let mut shallow_widenings = 0;
     while total_elements_at_slope(funcs, shallow) < target {
         shallow /= 4.0;
-        guard += 1;
-        if guard > 400 || shallow <= 0.0 {
+        shallow_widenings += 1;
+        if shallow_widenings > 400 || shallow <= 0.0 {
             let capacity: f64 = funcs.iter().map(|f| f.max_size().min(1e18)).sum();
             return Err(Error::InsufficientCapacity {
                 requested: n,
@@ -125,7 +137,7 @@ pub fn bracket_slopes<F: CostFunction>(n: u64, funcs: &[F]) -> Result<SlopeBrack
             });
         }
     }
-    Ok(SlopeBracket { shallow, steep })
+    Ok((SlopeBracket { shallow, steep }, steep_widenings + shallow_widenings))
 }
 
 /// Seeds a [`SlopeBracket`] from a known-good slope — the warm-start path.
@@ -151,7 +163,7 @@ pub fn bracket_from_slope<F: CostFunction>(
     funcs: &[F],
     slope: f64,
 ) -> Result<SlopeBracket> {
-    bracket_from_slope_probed(n, funcs, slope).map(|(bracket, _) | bracket)
+    bracket_from_slope_probed(n, funcs, slope).map(|(bracket, ..)| bracket)
 }
 
 /// A [`SlopeBracket`] per machine intersection pair: the abscissas at the
@@ -160,13 +172,15 @@ pub fn bracket_from_slope<F: CostFunction>(
 pub type BracketProbes = (Vec<f64>, Vec<f64>);
 
 /// [`bracket_from_slope`], additionally returning the per-machine
-/// intersections evaluated at the two accepted bounds so the subsequent
-/// search can start without re-sweeping the endpoints.
+/// intersections evaluated at the two accepted bounds, so the subsequent
+/// search can start without re-sweeping the endpoints, and how many times
+/// the ε-bracket was widened (see
+/// [`crate::trace::Trace::bracket_probes`]).
 pub(crate) fn bracket_from_slope_probed<F: CostFunction>(
     n: u64,
     funcs: &[F],
     slope: f64,
-) -> Result<(SlopeBracket, BracketProbes)> {
+) -> Result<(SlopeBracket, BracketProbes, usize)> {
     debug_assert!(n > 0 && !funcs.is_empty());
     const EPSILON: f64 = 1e-3;
     const WIDEN_BUDGET: usize = 64;
@@ -182,41 +196,42 @@ pub(crate) fn bracket_from_slope_probed<F: CostFunction>(
     let mut steep = slope * up;
     let mut shallow = slope * down;
 
-    let mut guard = 0;
+    let mut steep_widenings = 0;
     let lo_x = loop {
         let xs = crate::geometry::intersections_at_slope(funcs, steep);
         let total: f64 = xs.iter().sum();
         if !total.is_finite() {
-            return fail("bracket_from_slope(steep)", guard);
+            return fail("bracket_from_slope(steep)", steep_widenings);
         }
         if total <= target {
             break xs;
         }
         up *= up;
         steep = slope * up;
-        guard += 1;
-        if guard > WIDEN_BUDGET || !steep.is_finite() {
-            return fail("bracket_from_slope(steep)", guard);
+        steep_widenings += 1;
+        if steep_widenings > WIDEN_BUDGET || !steep.is_finite() {
+            return fail("bracket_from_slope(steep)", steep_widenings);
         }
     };
-    guard = 0;
+    let mut shallow_widenings = 0;
     let hi_x = loop {
         let xs = crate::geometry::intersections_at_slope(funcs, shallow);
         let total: f64 = xs.iter().sum();
         if !total.is_finite() {
-            return fail("bracket_from_slope(shallow)", guard);
+            return fail("bracket_from_slope(shallow)", shallow_widenings);
         }
         if total >= target {
             break xs;
         }
         down *= down;
         shallow = slope * down;
-        guard += 1;
-        if guard > WIDEN_BUDGET || shallow <= 0.0 {
-            return fail("bracket_from_slope(shallow)", guard);
+        shallow_widenings += 1;
+        if shallow_widenings > WIDEN_BUDGET || shallow <= 0.0 {
+            return fail("bracket_from_slope(shallow)", shallow_widenings);
         }
     };
-    Ok((SlopeBracket { shallow, steep }, (lo_x, hi_x)))
+    let widenings = steep_widenings + shallow_widenings;
+    Ok((SlopeBracket { shallow, steep }, (lo_x, hi_x), widenings))
 }
 
 #[cfg(test)]

@@ -74,18 +74,36 @@ impl SingleNumberPartitioner {
                 reason: "single-number speeds must be non-negative and finite",
             });
         }
-        let total_speed: f64 = speeds.iter().sum();
+        let mut total_speed: f64 = speeds.iter().sum();
         if total_speed <= 0.0 {
             return Err(Error::InvalidSpeedFunction {
                 processor: 0,
                 reason: "at least one processor must have positive speed",
             });
         }
-        // Proportional floors, then residue assignment.
-        let mut counts: Vec<u64> =
-            speeds.iter().map(|&s| (n as f64 * s / total_speed).floor() as u64).collect();
-        let assigned: u64 = counts.iter().sum();
-        debug_assert!(assigned <= n);
+        // Speeds near `f64::MAX` can sum to infinity, which would zero every
+        // floor below and hand all of n to the residue loop. One common
+        // power-of-two scale keeps the proportions; a finite total keeps
+        // the scale at 1, which leaves every product bit for bit.
+        let mut scale = 1.0;
+        if total_speed.is_infinite() {
+            scale = 2f64.powi(-128);
+            total_speed = speeds.iter().map(|&s| s * scale).sum();
+        }
+        // Proportional floors, then residue assignment. Above 2⁵³ `n as f64`
+        // can round up, so the floors may sum past `n` (or past `u64::MAX`);
+        // capping each floor at what is left of `n` keeps the sum ≤ n and
+        // the residue within the rounding error.
+        let mut assigned = 0u64;
+        let mut counts: Vec<u64> = speeds
+            .iter()
+            .map(|&s| {
+                let floor =
+                    ((n as f64 * (s * scale) / total_speed).floor() as u64).min(n - assigned);
+                assigned += floor;
+                floor
+            })
+            .collect();
         let residue = n - assigned;
         match self.variant {
             RoundingVariant::Naive => naive_residue(&mut counts, speeds, residue),
@@ -105,7 +123,7 @@ fn naive_residue(counts: &mut [u64], speeds: &[f64], residue: u64) {
             if s <= 0.0 {
                 continue;
             }
-            let t = (c + 1) as f64 / s;
+            let t = c.saturating_add(1) as f64 / s;
             if t < best_time {
                 best_time = t;
                 best = i;
@@ -136,12 +154,12 @@ fn heap_residue(counts: &mut [u64], speeds: &[f64], residue: u64) {
         .zip(speeds)
         .enumerate()
         .filter(|(_, (_, &s))| s > 0.0)
-        .map(|(i, (&c, &s))| Reverse(Key((c + 1) as f64 / s, i)))
+        .map(|(i, (&c, &s))| Reverse(Key(c.saturating_add(1) as f64 / s, i)))
         .collect();
     for _ in 0..residue {
         let Reverse(Key(_, i)) = heap.pop().expect("positive total speed guarantees candidates");
         counts[i] += 1;
-        heap.push(Reverse(Key((counts[i] + 1) as f64 / speeds[i], i)));
+        heap.push(Reverse(Key(counts[i].saturating_add(1) as f64 / speeds[i], i)));
     }
 }
 
@@ -244,6 +262,33 @@ mod tests {
             SingleNumberPartitioner::at_size(1.0).partition(10, &funcs),
             Err(Error::NoProcessors)
         ));
+    }
+
+    #[test]
+    fn conserves_elements_above_the_f64_integer_range() {
+        // `n as f64` rounds above 2⁵³ (up, at 2⁶⁰−1 and u64::MAX−1), so the
+        // proportional floors can sum past n, or past u64::MAX.
+        let cases: [(u64, &[f64]); 8] = [
+            ((1 << 53) + 1, &[3.0, 1.0]),
+            ((1 << 60) - 1, &[3.0, 1.0]),
+            ((1 << 60) - 1, &[1.0, 1.0, 1.0]),
+            (u64::MAX - 1, &[1.0]),
+            (u64::MAX - 1, &[1.0, 1.0]),
+            (u64::MAX, &[1.0]),
+            (u64::MAX, &[5.0, 1.0]),
+            // Speeds whose sum overflows to infinity.
+            (1 << 53, &[f64::MAX, f64::MAX]),
+        ];
+        for (n, speeds) in cases {
+            for variant in [RoundingVariant::Naive, RoundingVariant::Heap] {
+                let d = SingleNumberPartitioner::at_size(1.0)
+                    .with_variant(variant)
+                    .partition_with_speeds(n, speeds)
+                    .unwrap();
+                let total = d.counts().iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+                assert_eq!(total, Some(n), "{variant:?} at n = {n}, speeds {speeds:?}");
+            }
+        }
     }
 
     #[test]

@@ -244,6 +244,27 @@ mod tests {
     }
 
     #[test]
+    fn cold_solves_report_a_cold_trace() {
+        // The combined solver, also under the transforms, seeds its cold
+        // solves from the single-number line; only a donor plan marks a
+        // trace warm.
+        let funcs = mixed_cluster();
+        let n = 1_000_000;
+        let sort = SortSamplePartitioner::new();
+        let query = QueryPartitioner::new();
+        for cold in [
+            CombinedPartitioner::new().partition(n, &funcs).unwrap(),
+            sort.partition(n, &funcs).unwrap(),
+            query.partition(n, &funcs).unwrap(),
+        ] {
+            assert!(!cold.trace.warm_bracket);
+            assert!(cold.trace.steps() > 0);
+        }
+        let donor = sort.partition(n, &funcs).unwrap().distribution;
+        assert!(sort.resolve_from(&donor, n + 1, &funcs).unwrap().trace.warm_bracket);
+    }
+
+    #[test]
     #[should_panic(expected = "query cost exponent")]
     fn query_rejects_negative_gamma() {
         let _ = QueryPartitioner::new().with_gamma(-1.0);

@@ -30,13 +30,20 @@ pub struct Trace {
     /// The iterations in order.
     pub iterations: Vec<IterationRecord>,
     /// Whether the run was seeded from a previous solution's slope (the
-    /// warm-start path). `false` for cold solves and for warm requests
-    /// that fell back to the cold bracket construction.
+    /// warm-start path). `false` for cold solves — including the combined
+    /// algorithm's cold solve seeded from its own single-number line — and
+    /// for warm requests that fell back to the cold bracket construction.
     pub warm_bracket: bool,
+    /// How many times the bracket was widened before the search began:
+    /// the expansions of the initial lines (paper Fig. 18) or of a seeded
+    /// ε-bracket. Each widening costs one `O(p)` intersection sweep that
+    /// [`Trace::iterations`] does not record.
+    pub bracket_probes: usize,
 }
 
 impl Trace {
-    /// Number of bisection steps performed.
+    /// Number of bisection steps performed (bracket widenings excluded,
+    /// see [`Trace::bracket_probes`]).
     pub fn steps(&self) -> usize {
         self.iterations.len()
     }

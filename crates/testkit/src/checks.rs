@@ -95,6 +95,8 @@ pub enum BoundClass {
 }
 
 /// Checks a trace's iteration count against the paper's complexity claim.
+/// Bracket widenings ([`Trace::bracket_probes`]) count as iterations: each
+/// costs the same `O(p)` intersection sweep as a search step.
 pub fn check_iteration_bound(
     trace: &Trace,
     n: u64,
@@ -106,12 +108,13 @@ pub fn check_iteration_bound(
         BoundClass::LogN { base, factor } => base + factor * log_n,
         BoundClass::PLogN => 4 * p * log_n + 64,
     };
-    let steps = trace.steps();
+    let steps = trace.steps() + trace.bracket_probes;
     if steps <= bound {
         Ok(())
     } else {
         Err(format!(
-            "iteration bound violated: {steps} steps > {bound} allowed ({class:?}, n={n}, p={p})"
+            "iteration bound violated: {steps} steps and bracket probes > {bound} allowed \
+             ({class:?}, n={n}, p={p})"
         ))
     }
 }
@@ -464,6 +467,12 @@ mod tests {
         );
         assert!(
             check_iteration_bound(&t, 2, 4, BoundClass::LogN { base: 1, factor: 1 }).is_err()
+        );
+        // The 50 steps exactly fill the LogN envelope above; one bracket
+        // widening on top breaks it.
+        t.bracket_probes = 1;
+        assert!(
+            check_iteration_bound(&t, 1 << 20, 4, BoundClass::LogN { base: 8, factor: 2 }).is_err()
         );
     }
 }

@@ -29,8 +29,8 @@
 
 use fpm_core::cost::{CostFunction, QueryCost, SortCost};
 use fpm_core::partition::{
-    oracle, BisectionPartitioner, ModifiedPartitioner, PartitionReport, Partitioner,
-    DEFAULT_QUERY_GAMMA,
+    oracle, BisectionPartitioner, CombinedPartitioner, ModifiedPartitioner, PartitionReport,
+    Partitioner, DEFAULT_QUERY_GAMMA,
 };
 use fpm_core::planner::{erase, registry, AlgorithmInfo, CostClass, TraceBound};
 use fpm_core::speed::SpeedFunction;
@@ -555,6 +555,74 @@ pub fn run_closed_form_sweep(config: &ConformanceConfig) -> ConformanceReport {
         let models = wire.build();
         let descriptor = format!("wire p={} n={}", models.len(), wire.n);
         report.failures.extend(check_closed_form(seed, &descriptor, wire.n, &erase(&models)));
+        report.cases_run += 1;
+    }
+    report
+}
+
+/// Differentially pins the combined algorithm's seeded cold solve on one
+/// cluster: [`CombinedPartitioner::partition`], which starts the warm
+/// machinery from the single-number line, must equal the paper-literal
+/// [`CombinedPartitioner::partition_explain`] — equal counts and makespan
+/// bits, or errors with equal `Display` text — with the evaluation cache on
+/// and off.
+pub fn check_seeded_cold<F: CostFunction>(
+    seed: u64,
+    descriptor: &str,
+    n: u64,
+    funcs: &[F],
+) -> Vec<CaseFailure> {
+    let mut failures = Vec::new();
+    for eval_cache in [true, false] {
+        let combined = CombinedPartitioner::new().with_eval_cache(eval_cache);
+        let seeded = combined.partition(n, funcs);
+        let paper = combined.partition_explain(n, funcs).map(|(report, _)| report);
+        let mismatch = match (&seeded, &paper) {
+            (Err(a), Err(b)) => {
+                (a.to_string() != b.to_string()).then(|| format!("errors \"{a}\" vs \"{b}\""))
+            }
+            _ => plan_mismatch(&seeded, &paper),
+        };
+        if let Some(m) = mismatch {
+            failures.push(CaseFailure {
+                seed,
+                algorithm: "combined",
+                descriptor: descriptor.to_string(),
+                message: format!(
+                    "seeded and paper-literal cold solves diverged at n={n} \
+                     (eval cache {eval_cache}): {m}"
+                ),
+            });
+        }
+    }
+    failures
+}
+
+/// Runs the seeded-cold differential ([`check_seeded_cold`]) over seeded
+/// clusters: per seed, the [`CaseSpec`] cluster plain and under the sort
+/// and query cost transforms, and the all-piece-wise [`WireCluster`] at
+/// its own size, one element less, and `n/1000 + 7` elements less.
+pub fn run_seeded_cold_sweep(config: &ConformanceConfig) -> ConformanceReport {
+    let cases = if config.cases == 0 { 150 } else { config.cases };
+    let mut report = ConformanceReport::default();
+    for i in 0..cases {
+        let seed = config.base_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let case = CaseSpec::from_seed(seed, &config.gen);
+        let sort: Vec<SortCost<'_, dyn SpeedFunction>> =
+            case.funcs.iter().map(|f| SortCost::new(f.as_ref())).collect();
+        let query: Vec<QueryCost<'_, dyn SpeedFunction>> =
+            case.funcs.iter().map(|f| QueryCost::new(f.as_ref(), DEFAULT_QUERY_GAMMA)).collect();
+        let d = &case.descriptor;
+        report.failures.extend(check_seeded_cold(seed, d, case.n, &case.funcs));
+        report.failures.extend(check_seeded_cold(seed, &format!("{d} sort"), case.n, &sort));
+        report.failures.extend(check_seeded_cold(seed, &format!("{d} query"), case.n, &query));
+        let wire = WireCluster::from_seed(seed, &config.gen);
+        let models = wire.build();
+        let n = wire.n;
+        for m in [n, n.saturating_sub(1), n.saturating_sub(n / 1000 + 7)] {
+            let descriptor = format!("wire p={} n={m}", models.len());
+            report.failures.extend(check_seeded_cold(seed, &descriptor, m, &models));
+        }
         report.cases_run += 1;
     }
     report

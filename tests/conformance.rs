@@ -13,7 +13,7 @@ use fpm_exec::pool::WorkerPool;
 use fpm_simnet::{FluctuatingMeasurer, Integration};
 use fpm_testkit::conformance::{
     env_base_seed, env_cases, env_cost_cases, run_closed_form_sweep, run_conformance,
-    run_cost_conformance, ConformanceConfig,
+    run_cost_conformance, run_seeded_cold_sweep, ConformanceConfig,
 };
 use fpm_testkit::fault::{assert_no_panic, FaultKind, FaultyMeasurer};
 
@@ -66,6 +66,26 @@ fn closed_form_transforms_match_the_numeric_search_plan_for_plan() {
     };
     let report = run_closed_form_sweep(&config);
     eprintln!("closed-form differential: {}", report.summary());
+    assert!(report.cases_run >= config.cases);
+    report.assert_ok();
+}
+
+/// Seeded-cold differential: the combined algorithm's cold solve starts
+/// its search from the single-number line of the Fig. 18 probe, and must
+/// return exactly what the paper-literal `partition_explain` returns —
+/// counts, makespan bits and error text — on the generated clusters (plain
+/// and under the sort and query transforms) and on wire clusters at three
+/// sizes, with the evaluation cache on and off. Scaled with
+/// `FPM_TESTKIT_CASES` like the full sweep.
+#[test]
+fn seeded_combined_matches_the_paper_literal_path() {
+    let config = ConformanceConfig {
+        cases: env_cases(150),
+        base_seed: env_base_seed(0xD1FF_CA5E_0000_0004),
+        ..ConformanceConfig::default()
+    };
+    let report = run_seeded_cold_sweep(&config);
+    eprintln!("seeded cold differential: {}", report.summary());
     assert!(report.cases_run >= config.cases);
     report.assert_ok();
 }
