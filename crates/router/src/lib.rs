@@ -9,25 +9,30 @@
 //!   every cluster name to an owning shard; fingerprint-addressed
 //!   requests follow a learned `fingerprint → name` alias.
 //! - **Replication** — `register` and `report` fan out to the owner plus
-//!   `replicas − 1` clockwise successors; both verbs are deterministic,
-//!   so every replica holds a bit-identical model.
+//!   `replicas − 1` clockwise successors; both verbs are deterministic
+//!   and each shard has one upstream connection, so every replica
+//!   applies writes in the same order and holds a bit-identical model.
 //! - **Failover** — `partition`/`partition_batch` go to the owner and
 //!   retry replicas on transport failure or a draining shard, so killing
-//!   one shard degrades routing instead of erroring clients.
-//! - **Replica catch-up** — when the health prober detects a shard
-//!   recovering, every acknowledged `register` line whose replica set
-//!   includes it is replayed (keyed by the cluster names the
-//!   `fingerprint → name` alias map resolves to), so a shard that
-//!   restarted empty re-learns the models it replicates.
+//!   one shard degrades routing instead of erroring clients. A failed
+//!   upstream connection fails over every request queued on it.
+//! - **Replica catch-up** — when a health probe finds a down shard alive
+//!   again, the last acknowledged `register` line and every write sent
+//!   since, in flight or acknowledged, are replayed for each cluster it
+//!   replicates (keyed by the cluster names the `fingerprint → name`
+//!   alias map resolves to), and the shard takes reads only once the
+//!   replay is answered. A shard that restarted empty comes back at its
+//!   peers' epoch.
 //! - **Cluster stats** — the `cluster_stats` verb merges per-shard
 //!   counters and latency histograms (bucket-wise, exact) and reports
 //!   per-shard health.
 //!
-//! Like the serve crate, this is dependency-free: the client side runs on
-//! the serve crate's connection core ([`fpm_serve::conn`]), with threads
-//! for upstream connections and health probes. See [`server`] for the
-//! architecture and [`server::spawn`] to embed a router in-process (the
-//! `fpm router` CLI wraps exactly that).
+//! Like the serve crate, this is dependency-free, and it runs on one
+//! thread: the serve crate's connection core ([`fpm_serve::conn`])
+//! polls the client connections, one pipelined upstream connection per
+//! shard, and the health probes. See [`server`] for the architecture and
+//! [`server::spawn`] to embed a router in-process (the `fpm router` CLI
+//! wraps exactly that).
 
 #![forbid(unsafe_code)]
 

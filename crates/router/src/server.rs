@@ -1,22 +1,30 @@
 //! The router daemon: the routing/replication/failover handler on
-//! `fpm-serve`'s connection core ([`fpm_serve::conn`]), plus a small pool
-//! of blocking upstream connections per shard.
+//! `fpm-serve`'s connection core ([`fpm_serve::conn`]), with its shard
+//! connections in the same poll loop.
 //!
 //! # Architecture
 //!
-//! The client side is the connection core (pipelining, in-order replies,
-//! drain). The handler never blocks on a shard: forwarding hands the raw
-//! request line to a per-shard upstream worker (a thread owning one
-//! blocking [`fpm_serve::Client`] connection), and the worker posts the
-//! raw reply line back through the core's [`Completer`] — exactly how the
-//! serve daemon hands solves to its worker pool.
+//! One thread runs everything. The client side is the connection core
+//! (pipelining, in-order replies, drain). The upstream side is the
+//! handler's own [`Outbound`] connections, polled through the core's
+//! handler hooks: one pipelined connection per shard, a probe connection
+//! while a health check runs, and timers in [`Handler::expire`].
 //!
 //! ```text
-//!  clients ──conn core──▶ slot queue ──▶ per-shard job queues
-//!                ▲                               │ (N upstream conns each)
-//!                │ Completer (channel + wake)    ▼
-//!                └────────────────────────── shard workers ──TCP──▶ fpm-serve
+//!  clients ──conn core──▶ slot queue ──▶ send: raw line into an upstream
+//!                ▲                        write buffer, ReplyAddr into its FIFO
+//!                │                               │ flush once per iteration
+//!                │ complete(addr, reply)         ▼
+//!                └──── take_ready: next reply ◀──TCP── fpm-serve shards
+//!                      line pops the FIFO head
 //! ```
+//!
+//! A shard answers each connection in request order, so a FIFO of reply
+//! addresses per connection pairs replies with requests without ids.
+//! Every line handled in one loop iteration leaves in one write per
+//! shard, so a pipelined client burst reaches its shard as a pipeline.
+//! One connection per shard also means each shard sees requests in the
+//! router's send order.
 //!
 //! # Routing
 //!
@@ -25,72 +33,76 @@
 //! fingerprint-addressed requests the name the fingerprint was learned
 //! under (the router remembers `fingerprint → key` from `register` and
 //! `report` replies). `register`/`report` fan out to the owner plus
-//! `replicas - 1` successor shards so every replica holds the same model
-//! (both verbs are deterministic, so replicas stay bit-identical);
+//! `replicas - 1` successor shards so every replica holds the same model.
+//! Both verbs are deterministic, and each replica applies writes in the
+//! router's send order, so replicas stay bit-identical.
 //! `partition`/`partition_batch` go to the owner and fail over through
 //! the replica set when a shard is unreachable, answers `shutting_down`,
-//! or dies mid-request. Request and reply lines are forwarded *verbatim*,
-//! which is what makes routed results bit-identical to single-node serving.
+//! or dies mid-request. Request and reply lines are forwarded
+//! *verbatim*, which is what makes routed results bit-identical to
+//! single-node serving.
 //!
 //! # Health
 //!
-//! A shard is marked unhealthy passively (any transport failure on a
-//! worker or stats leg) and recovers via a per-shard prober that pings on
-//! a fixed interval while healthy and with exponential backoff (capped)
-//! while down. Workers fail jobs against a down shard immediately — the
-//! failover path answers from a replica without waiting on connect
-//! timeouts.
+//! A shard is marked down when a request on it fails in transport: every
+//! request queued on that connection then fails over, in FIFO order. An
+//! idle connection that closes is only dropped. A request whose
+//! connection stays silent for 30 s (`UPSTREAM_TIMEOUT`) fails with
+//! `internal`, and the shard stays up. Requests to a down shard with no
+//! open connection fail at once, so the failover path answers from a
+//! replica without waiting on connect timeouts. A timer probes each shard
+//! on a fresh connection: on a fixed interval while it is up, and with
+//! capped exponential backoff while it is down.
 //!
-//! When the prober flips a shard back to healthy, the router *catches
-//! the replica up*: every remembered `register` line whose replica set
-//! includes the recovered shard is replayed to it (fire-and-forget, and
-//! idempotent — registration is deterministic, so a shard that never
-//! actually lost its registry converges to the same state). The replay
-//! store is keyed by the same cluster names the `fingerprint → name`
-//! alias map resolves to, so a shard that restarted empty serves both
-//! name- and fingerprint-addressed requests again without any client
-//! intervention.
-//!
-//! # Caveat
-//!
-//! Replies on one client connection stay strictly in request order, but a
-//! fan-out verb (`register`/`report`) pipelined *ahead* of a dependent
-//! `partition` on the same connection may reach the shards after it —
-//! issue dependent requests after the fan-out's reply, as the tests do.
+//! When a probe finds a down shard alive again, the router *catches the
+//! replica up*: for every routing key whose replica set includes the
+//! shard, it replays the last acknowledged `register` line and every
+//! write sent since, in send order, on the shard's connection ahead of
+//! any new request. Writes still in flight are replayed too, so a write
+//! whose leg to the shard failed just before the readmission is not lost.
+//! The shard takes reads again once the last replay is answered. A
+//! connection that fails with replays queued marks the shard down again,
+//! so the next good probe replays from the start. The history is keyed
+//! by the cluster names the `fingerprint → name` alias map resolves to,
+//! so a shard that restarted empty serves both name- and
+//! fingerprint-addressed requests again, at the same epoch as its peers,
+//! without any client intervention.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::fmt::Write as _;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::metrics::RouterMetrics;
 use crate::ring::{HashRing, DEFAULT_VNODES};
-use fpm_serve::client::{Client, SHARD_UNAVAILABLE};
-use fpm_serve::conn::{self, Completer, Conn, Handler, Line, ReplyAddr};
+use fpm_serve::client::SHARD_UNAVAILABLE;
+use fpm_serve::conn::{self, Conn, Conns, Handler, Line, Outbound, ReplyAddr};
 use fpm_serve::json::{Json, JsonRef, JsonStr};
 use fpm_serve::metrics::{elapsed_us, Counters, HistogramSnapshot};
+use fpm_serve::poll::PollFd;
 use fpm_serve::protocol::{
     display_id, parse_report_target_ref, parse_target_ref, render_err, render_ok_head,
     ClusterRefView, ProtoError,
 };
 
-/// How long a worker waits on its job queue before re-checking shutdown.
-const WORKER_TICK: Duration = Duration::from_millis(100);
-/// TCP connect bound for upstream workers and probes.
+/// Bound on the TCP handshake of an upstream connection.
 const UPSTREAM_CONNECT: Duration = Duration::from_secs(1);
-/// Upstream connections (worker threads) per shard.
-const UPSTREAM_CONNS: usize = 4;
-/// Read timeout on shard replies.
+/// How long the oldest request on an upstream connection may wait for
+/// its reply.
 const UPSTREAM_TIMEOUT: Duration = Duration::from_secs(30);
+/// Bound on one probe: connect plus pong.
+const PROBE_TIMEOUT: Duration = Duration::from_secs(2);
 /// First reconnect-probe delay after a shard goes down.
 const BACKOFF_BASE: Duration = Duration::from_millis(50);
 /// Reconnect-probe delay cap.
 const BACKOFF_CAP: Duration = Duration::from_secs(2);
+/// Read chunk for upstream replies.
+const READ_CHUNK: usize = 64 * 1024;
 
 /// Router configuration.
 #[derive(Debug, Clone)]
@@ -120,58 +132,12 @@ impl Default for RouterConfig {
     }
 }
 
-/// One shard as the router sees it: its address, a passive+probed health
-/// flag and the job queue its upstream workers drain.
-struct ShardSlot {
-    addr: SocketAddr,
-    healthy: AtomicBool,
-    jobs: mpsc::Sender<UpJob>,
-}
-
-/// Shared state of one running router.
+/// State shared between the loop and the [`RouterHandle`].
 struct Shared {
     config: RouterConfig,
     ring: HashRing,
-    shards: Vec<ShardSlot>,
     metrics: RouterMetrics,
     stopping: AtomicBool,
-    /// `routing key → last acknowledged raw register line`, replayed to
-    /// a shard when the prober brings it back (replica catch-up). The
-    /// keys are the cluster names the fingerprint alias map points at.
-    catchup: Mutex<HashMap<String, String>>,
-}
-
-impl Shared {
-    fn mark_down(&self, shard: usize) {
-        if self.shards[shard].healthy.swap(false, Ordering::SeqCst) {
-            self.metrics.inc(&self.metrics.shard_down_marks);
-        }
-    }
-
-    /// Flips a shard healthy; true only on a down → up transition.
-    fn mark_up(&self, shard: usize) -> bool {
-        if !self.shards[shard].healthy.swap(true, Ordering::SeqCst) {
-            self.metrics.inc(&self.metrics.shard_up_marks);
-            return true;
-        }
-        false
-    }
-
-    /// Replays every remembered register line whose replica set includes
-    /// `shard`. Fire-and-forget: a crash-restarted (empty) shard
-    /// re-learns the models it replicates; a shard that merely lost
-    /// connectivity re-registers identically (registration is
-    /// deterministic), so the replay is idempotent either way.
-    fn catch_up(&self, shard: usize) {
-        let catchup = self.catchup.lock().expect("catchup lock");
-        for (key, line) in catchup.iter() {
-            if self.ring.route(key, self.config.replicas).contains(&shard)
-                && self.shards[shard].jobs.send(UpJob::Fire { line: line.clone() }).is_ok()
-            {
-                self.metrics.inc(&self.metrics.catchup_replays);
-            }
-        }
-    }
 }
 
 /// Handle to a running router; dropping it does **not** stop the daemon —
@@ -181,7 +147,6 @@ pub struct RouterHandle {
     pub addr: SocketAddr,
     shared: Arc<Shared>,
     driver: Option<JoinHandle<()>>,
-    side_threads: Vec<JoinHandle<()>>,
 }
 
 impl RouterHandle {
@@ -194,9 +159,6 @@ impl RouterHandle {
         let _ = TcpStream::connect(self.addr);
         if let Some(handle) = self.driver.take() {
             let _ = handle.join();
-        }
-        for t in self.side_threads.drain(..) {
-            let _ = t.join();
         }
         self.shared.metrics.snapshot_json()
     }
@@ -214,31 +176,23 @@ impl RouterHandle {
     /// The replica set (owner first) a routing key maps to — used by the
     /// fault tests and benches to find (and kill) a cluster's owner.
     pub fn route(&self, key: &str) -> Vec<SocketAddr> {
+        let shards = &self.shared.config.shards;
         self.shared
             .ring
             .route(key, self.shared.config.replicas)
             .into_iter()
-            .map(|i| self.shared.shards[i].addr)
+            .map(|i| shards[i])
             .collect()
     }
 
     /// All shard addresses, in ring order.
     pub fn shard_addrs(&self) -> Vec<SocketAddr> {
-        self.shared.shards.iter().map(|s| s.addr).collect()
+        self.shared.config.shards.clone()
     }
 }
 
 /// A shard's raw reply line, or the transport error in its place.
 type Reply = Result<String, ProtoError>;
-
-/// A job handed to a shard's upstream workers.
-enum UpJob {
-    /// Round-trip `line` and post the raw reply to the event loop.
-    Request { line: String, addr: ReplyAddr },
-    /// Fire-and-forget (shutdown broadcast, catch-up replay): best-effort
-    /// send, reply read and dropped.
-    Fire { line: String },
-}
 
 /// Starts the router; returns once the listener is bound. Fails fast on
 /// an empty shard list — a router with nothing behind it serves nothing.
@@ -251,172 +205,100 @@ pub fn spawn(config: RouterConfig) -> std::io::Result<RouterHandle> {
     }
     let listener = TcpListener::bind(config.addr)?;
     let addr = listener.local_addr()?;
-    let (completer, completions) = conn::completion_channel::<Reply>()?;
-
-    let ring = HashRing::new(config.shards.len(), config.vnodes.max(1));
-    let mut shards = Vec::with_capacity(config.shards.len());
-    let mut queues = Vec::with_capacity(config.shards.len());
-    for &shard_addr in &config.shards {
-        let (tx, rx) = mpsc::channel::<UpJob>();
-        shards.push(ShardSlot { addr: shard_addr, healthy: AtomicBool::new(true), jobs: tx });
-        queues.push(Arc::new(Mutex::new(rx)));
-    }
+    // Nothing leaves the loop thread, so no Completer is kept.
+    let (_, completions) = conn::completion_channel::<Reply>()?;
+    let first_probe = Instant::now() + probe_interval(&config);
+    let shards = config
+        .shards
+        .iter()
+        .map(|&addr| Shard {
+            addr,
+            health: Health::Up,
+            conn: None,
+            probe: None,
+            next_probe: first_probe,
+            delay: probe_interval(&config),
+        })
+        .collect();
     let shared = Arc::new(Shared {
+        ring: HashRing::new(config.shards.len(), config.vnodes.max(1)),
         config,
-        ring,
-        shards,
         metrics: RouterMetrics::new(),
         stopping: AtomicBool::new(false),
-        catchup: Mutex::new(HashMap::new()),
     });
-    // Jobs queue up until the workers below start draining them.
-    let handler = RouteHandler { shared: Arc::clone(&shared), aliases: HashMap::new() };
-    let driver = conn::spawn("fpm-router-loop", listener, completions, handler)?;
-
-    let mut side_threads = Vec::new();
-    for (i, queue) in queues.into_iter().enumerate() {
-        for w in 0..UPSTREAM_CONNS {
-            let queue = Arc::clone(&queue);
-            let shared = Arc::clone(&shared);
-            let completer = completer.clone();
-            side_threads.push(
-                std::thread::Builder::new()
-                    .name(format!("fpm-router-up-{i}-{w}"))
-                    .spawn(move || upstream_worker(i, queue, shared, completer))
-                    .expect("spawn upstream worker"),
-            );
-        }
-        let shared_probe = Arc::clone(&shared);
-        side_threads.push(
-            std::thread::Builder::new()
-                .name(format!("fpm-router-probe-{i}"))
-                .spawn(move || prober(i, shared_probe))
-                .expect("spawn prober"),
-        );
-    }
-    Ok(RouterHandle { addr, shared, driver: Some(driver), side_threads })
-}
-
-// --- upstream workers and probing ---------------------------------------
-
-/// One upstream worker: owns at most one blocking connection to its
-/// shard, round-trips jobs one at a time (strict request/reply pairing —
-/// no upstream id bookkeeping needed), and posts raw reply lines back.
-fn upstream_worker(
-    shard: usize,
-    queue: Arc<Mutex<mpsc::Receiver<UpJob>>>,
-    shared: Arc<Shared>,
-    completer: Completer<Reply>,
-) {
-    let mut client: Option<Client> = None;
-    let mut reply = String::with_capacity(512);
-    let post = |addr: Option<ReplyAddr>, result: Reply| {
-        if let Some(addr) = addr {
-            completer.complete(addr, result);
-        }
+    let handler = RouteHandler {
+        shared: Arc::clone(&shared),
+        shards,
+        aliases: HashMap::new(),
+        history: HashMap::new(),
+        next_write: 0,
+        failed: Vec::new(),
+        polled: Vec::new(),
+        chunk: vec![0u8; READ_CHUNK],
     };
-    loop {
-        let job = {
-            let rx = queue.lock().expect("queue lock");
-            rx.recv_timeout(WORKER_TICK)
-        };
-        let job = match job {
-            Ok(job) => job,
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shared.stopping.load(Ordering::SeqCst) {
-                    return;
-                }
-                continue;
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
-        };
-        let (line, addr) = match job {
-            UpJob::Request { line, addr } => (line, Some(addr)),
-            UpJob::Fire { line } => (line, None),
-        };
-        // Connect lazily. A shard already marked down fails the job
-        // immediately: the failover path must not wait on connect
-        // timeouts while a replica could answer now.
-        if client.is_none() {
-            if !shared.shards[shard].healthy.load(Ordering::SeqCst) {
-                post(addr, Err(unavailable(&shared, shard, "marked down")));
-                continue;
-            }
-            match Client::connect_timeout(
-                shared.shards[shard].addr,
-                Some(UPSTREAM_CONNECT),
-                UPSTREAM_TIMEOUT,
-            ) {
-                Ok(c) => client = Some(c),
-                Err(e) => {
-                    shared.mark_down(shard);
-                    post(addr, Err(unavailable(&shared, shard, &e.to_string())));
-                    continue;
-                }
-            }
-        }
-        let conn = client.as_mut().expect("connected above");
-        match conn.request_line(&line, &mut reply) {
-            Ok(()) => post(addr, Ok(reply.clone())),
-            Err(e) => {
-                // Any failed round-trip abandons the connection: a
-                // half-read reply would desynchronise the pairing.
-                client = None;
-                if e.code == SHARD_UNAVAILABLE {
-                    shared.mark_down(shard);
-                }
-                post(addr, Err(e));
-            }
-        }
-    }
+    let driver = conn::spawn("fpm-router-loop", listener, completions, handler)?;
+    Ok(RouterHandle { addr, shared, driver: Some(driver) })
 }
 
-fn unavailable(shared: &Shared, shard: usize, detail: &str) -> ProtoError {
-    ProtoError::new(
-        SHARD_UNAVAILABLE,
-        format!("shard {} unavailable: {detail}", shared.shards[shard].addr),
-    )
+fn probe_interval(config: &RouterConfig) -> Duration {
+    Duration::from_millis(config.probe_interval_ms.max(1))
 }
 
-/// Per-shard health probe: pings on a fixed interval while the shard is
-/// healthy; while it is down, retries with exponential backoff from
-/// [`BACKOFF_BASE`] up to [`BACKOFF_CAP`] and flips the shard back to
-/// healthy on the first successful pong.
-fn prober(shard: usize, shared: Arc<Shared>) {
-    let interval = Duration::from_millis(shared.config.probe_interval_ms.max(1));
-    let mut delay = interval;
-    loop {
-        // Sleep in short slices so shutdown joins promptly even from the
-        // backoff cap.
-        let deadline = Instant::now() + delay;
-        while Instant::now() < deadline {
-            if shared.stopping.load(Ordering::SeqCst) {
-                return;
-            }
-            std::thread::sleep(Duration::from_millis(20));
-        }
-        if shared.stopping.load(Ordering::SeqCst) {
-            return;
-        }
-        shared.metrics.inc(&shared.metrics.probes);
-        let alive = Client::connect_timeout(
-            shared.shards[shard].addr,
-            Some(UPSTREAM_CONNECT),
-            Duration::from_secs(2),
-        )
-        .ok()
-        .and_then(|mut c| c.ping().ok())
-        .is_some();
-        if alive {
-            if shared.mark_up(shard) {
-                shared.catch_up(shard);
-            }
-            delay = interval;
-        } else {
-            shared.mark_down(shard);
-            delay = (delay * 2).clamp(BACKOFF_BASE, BACKOFF_CAP);
-        }
-    }
+// --- shards and their connections --------------------------------------
+
+/// Who an upstream reply belongs to.
+enum Waiter {
+    /// A client slot: a forward, a fan-out leg or a stats leg.
+    Slot(ReplyAddr),
+    /// A catch-up replay line.
+    Replay,
+    /// Fire-and-forget (the shutdown broadcast): the reply is dropped.
+    Fire,
+}
+
+/// The pipelined connection to a shard.
+struct Upstream {
+    link: Outbound,
+    /// Reply owners in send order.
+    fifo: VecDeque<Waiter>,
+    /// When the handshake began, then when the head of `fifo` began
+    /// waiting.
+    since: Instant,
+}
+
+/// A health probe: a fresh connection carrying one ping.
+struct Probe {
+    link: Outbound,
+    started: Instant,
+}
+
+/// A shard's routing state: only an `Up` shard takes reads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Health {
+    Up,
+    Down,
+    /// Back from down, with catch-up replays still in flight.
+    CatchingUp,
+}
+
+/// One shard as the loop sees it.
+struct Shard {
+    addr: SocketAddr,
+    health: Health,
+    conn: Option<Upstream>,
+    probe: Option<Probe>,
+    next_probe: Instant,
+    /// The current probe delay: the interval while up, the backoff
+    /// while down.
+    delay: Duration,
+}
+
+/// Which descriptor a poll entry of [`RouteHandler::poll_fds`] watches,
+/// by shard index.
+#[derive(Clone, Copy)]
+enum Polled {
+    Conn(usize),
+    Probe(usize),
 }
 
 // --- the request handler -------------------------------------------------
@@ -427,26 +309,40 @@ enum Leg {
     /// shard currently asked.
     Forward { raw: String, candidates: Vec<usize>, tried: usize },
     /// A fan-out (`register`/`report`), one result per replica leg in
-    /// route order (owner first). `register_raw` carries the raw line of
-    /// a `register` (None for `report`) so an acknowledged registration
-    /// enters the replica catch-up store.
-    FanOut {
-        key: String,
-        results: Vec<Option<Reply>>,
-        remaining: usize,
-        register_raw: Option<String>,
-    },
+    /// route order (owner first). `seq` names its entry in the catch-up
+    /// history of `key`.
+    FanOut { key: String, seq: u64, register: bool, results: Vec<Option<Reply>>, remaining: usize },
     /// `cluster_stats`: one stats leg per shard.
     ClusterStats { results: Vec<Option<Reply>>, remaining: usize },
 }
 
-/// The router's request logic.
+/// One write in a key's catch-up history.
+struct Write {
+    /// The fan-out's sequence number.
+    seq: u64,
+    line: String,
+}
+
+/// The router's request logic and every upstream connection.
 struct RouteHandler {
     shared: Arc<Shared>,
+    shards: Vec<Shard>,
     /// `fingerprint → routing key` learned from register/report replies,
     /// so fingerprint-addressed requests land on the shard set that holds
-    /// the model. Only the loop thread touches it.
+    /// the model.
     aliases: HashMap<String, String>,
+    /// `routing key → writes`: the last acknowledged `register` line and
+    /// every write sent since, in send order, whether acknowledged or
+    /// still in flight. Replayed to a replica that comes back (catch-up).
+    history: HashMap<String, Vec<Write>>,
+    /// Sequence number of the next fan-out.
+    next_write: u64,
+    /// Requests that failed before reaching a shard, delivered by the
+    /// next [`Handler::expire`].
+    failed: Vec<(ReplyAddr, Reply)>,
+    /// The descriptors of the last [`Handler::poll_fds`], in order.
+    polled: Vec<Polled>,
+    chunk: Vec<u8>,
 }
 
 impl Handler for RouteHandler {
@@ -495,11 +391,10 @@ impl Handler for RouteHandler {
             }
             "shutdown" => {
                 m.inc(&m.shutdown_requests);
-                // Drain the fleet, then drain the router itself.
-                for shard in &self.shared.shards {
-                    let _ = shard.jobs.send(UpJob::Fire {
-                        line: r#"{"verb":"shutdown"}"#.to_owned(),
-                    });
+                // Drain the fleet (a down shard is skipped), then drain the
+                // router itself.
+                for shard in 0..self.shards.len() {
+                    self.send(shard, r#"{"verb":"shutdown"}"#, Waiter::Fire);
                 }
                 self.shared.stopping.store(true, Ordering::SeqCst);
                 conn.with_out(|out| {
@@ -559,14 +454,9 @@ impl Handler for RouteHandler {
                 Err(e) if e.code == SHARD_UNAVAILABLE && *tried + 1 < candidates.len() => {
                     m.inc(&m.failovers);
                     *tried += 1;
-                    let job =
-                        UpJob::Request { line: raw.clone(), addr: ReplyAddr { part: 0, ..addr } };
-                    if self.shared.shards[candidates[*tried]].jobs.send(job).is_ok() {
-                        return None;
-                    }
-                    m.inc(&m.errors);
-                    m.inc(&m.failover_exhausted);
-                    Some(err_line(id, &e))
+                    let shard = candidates[*tried];
+                    self.send(shard, raw, Waiter::Slot(ReplyAddr { part: 0, ..addr }));
+                    None
                 }
                 Err(e) => {
                     m.inc(&m.errors);
@@ -576,21 +466,12 @@ impl Handler for RouteHandler {
                     Some(err_line(id, &e))
                 }
             },
-            Leg::FanOut { key, results, remaining, register_raw } => {
+            Leg::FanOut { key, seq, register, results, remaining } => {
                 if let Some(slot @ None) = results.get_mut(addr.part) {
                     *slot = Some(draining_as_unavailable(done));
                     *remaining -= 1;
                 }
-                (*remaining == 0).then(|| {
-                    finish_fanout(
-                        &mut self.aliases,
-                        &self.shared,
-                        key,
-                        register_raw.as_deref(),
-                        results,
-                        id,
-                    )
-                })
+                (*remaining == 0).then(|| self.finish_fanout(key, *seq, *register, results, id))
             }
             Leg::ClusterStats { results, remaining } => {
                 if let Some(slot @ None) = results.get_mut(addr.part) {
@@ -604,6 +485,93 @@ impl Handler for RouteHandler {
                 })
             }
         }
+    }
+
+    /// Runs the probe timers and the connect and read bounds, and hands
+    /// over requests that failed before reaching a shard.
+    fn expire(
+        &mut self,
+        _: &mut Conns<Leg>,
+        done: &mut Vec<(ReplyAddr, Reply)>,
+    ) -> Option<Instant> {
+        done.append(&mut self.failed);
+        let now = Instant::now();
+        let stopping = self.stopping();
+        let mut nearest: Option<Instant> = None;
+        let mut wake_at = |t: Instant| nearest = Some(nearest.map_or(t, |n| n.min(t)));
+        for shard in 0..self.shards.len() {
+            if let Some(up) = &self.shards[shard].conn {
+                let connecting = up.link.is_connecting();
+                let due = match (connecting, up.fifo.is_empty()) {
+                    (true, _) => Some(up.since + UPSTREAM_CONNECT),
+                    (false, false) => Some(up.since + UPSTREAM_TIMEOUT),
+                    (false, true) => None,
+                };
+                match due {
+                    Some(due) if now >= due => {
+                        let e = if connecting {
+                            self.unavailable(shard, "connect timed out")
+                        } else {
+                            ProtoError::new("internal", "recv failed: timed out")
+                        };
+                        self.fail_conn(shard, e, done);
+                    }
+                    Some(due) => wake_at(due),
+                    None => {}
+                }
+            }
+            if stopping {
+                continue;
+            }
+            let s = &self.shards[shard];
+            match s.probe.as_ref().map(|probe| probe.started + PROBE_TIMEOUT) {
+                Some(due) if now >= due => self.finish_probe(shard, false, now),
+                None if now >= s.next_probe => self.start_probe(shard, now),
+                _ => {}
+            }
+            let s = &self.shards[shard];
+            wake_at(s.probe.as_ref().map_or(s.next_probe, |probe| probe.started + PROBE_TIMEOUT));
+        }
+        nearest
+    }
+
+    fn poll_fds(&mut self, fds: &mut Vec<PollFd>) {
+        self.polled.clear();
+        for (i, shard) in self.shards.iter().enumerate() {
+            if let Some(up) = &shard.conn {
+                fds.push(up.link.poll_fd());
+                self.polled.push(Polled::Conn(i));
+            }
+            if let Some(probe) = &shard.probe {
+                fds.push(probe.link.poll_fd());
+                self.polled.push(Polled::Probe(i));
+            }
+        }
+    }
+
+    fn take_ready(&mut self, fds: &[PollFd], done: &mut Vec<(ReplyAddr, Reply)>) {
+        let polled = std::mem::take(&mut self.polled);
+        for (pfd, &which) in fds.iter().zip(&polled) {
+            if pfd.revents == 0 {
+                continue;
+            }
+            match which {
+                Polled::Conn(shard) => self.conn_ready(shard, pfd, done),
+                Polled::Probe(shard) => self.probe_ready(shard, pfd),
+            }
+        }
+        self.polled = polled;
+    }
+
+    fn flush(&mut self) -> bool {
+        let mut busy = false;
+        for up in self.shards.iter_mut().filter_map(|s| s.conn.as_mut()) {
+            // A failed write shows up as an error event on the next poll,
+            // where `take_ready` fails the connection.
+            let _ = up.link.flush();
+            busy |= !up.fifo.is_empty();
+        }
+        busy
     }
 }
 
@@ -621,97 +589,289 @@ impl RouteHandler {
         }
     }
 
+    fn unavailable(&self, shard: usize, detail: &str) -> ProtoError {
+        ProtoError::new(
+            SHARD_UNAVAILABLE,
+            format!("shard {} unavailable: {detail}", self.shards[shard].addr),
+        )
+    }
+
+    /// Queues `line` on the connection to `shard`, connecting first if
+    /// needed. A shard marked down gets no new connection: the request
+    /// fails at once, so failover need not wait on a connect timeout.
+    fn send(&mut self, shard: usize, line: &str, waiter: Waiter) {
+        if self.shards[shard].conn.is_none() {
+            let opened = match self.shards[shard].health {
+                Health::Down => Err(self.unavailable(shard, "marked down")),
+                _ => Outbound::connect(&self.shards[shard].addr)
+                    .map_err(|e| self.unavailable(shard, &e.to_string())),
+            };
+            match opened {
+                Ok(link) => {
+                    let up = Upstream { link, fifo: VecDeque::new(), since: Instant::now() };
+                    self.shards[shard].conn = Some(up);
+                }
+                Err(e) => {
+                    self.mark_down(shard);
+                    if let Waiter::Slot(addr) = waiter {
+                        self.failed.push((addr, Err(e)));
+                    }
+                    return;
+                }
+            }
+        }
+        let up = self.shards[shard].conn.as_mut().expect("connected above");
+        if up.fifo.is_empty() && !up.link.is_connecting() {
+            up.since = Instant::now();
+        }
+        up.link.send(line);
+        up.fifo.push_back(waiter);
+    }
+
+    /// Reads what a connection delivered and pairs each reply line with
+    /// the head of its FIFO.
+    fn conn_ready(&mut self, shard: usize, pfd: &PollFd, done: &mut Vec<(ReplyAddr, Reply)>) {
+        let s = &mut self.shards[shard];
+        let Some(up) = s.conn.as_mut().filter(|up| up.link.poll_fd().fd == pfd.fd) else {
+            return;
+        };
+        let mut status = up.link.ready(pfd.revents, &mut self.chunk);
+        let mut answered = false;
+        while let Some(line) = up.link.next_line() {
+            let Some(waiter) = up.fifo.pop_front() else {
+                status = Err(ErrorKind::InvalidData.into()); // unsolicited reply
+                break;
+            };
+            answered = true;
+            match waiter {
+                Waiter::Slot(addr) => done.push((addr, Ok(line))),
+                Waiter::Replay => {
+                    let replaying = up.fifo.iter().any(|w| matches!(w, Waiter::Replay));
+                    if s.health == Health::CatchingUp && !replaying {
+                        s.health = Health::Up;
+                    }
+                }
+                Waiter::Fire => {}
+            }
+        }
+        if answered {
+            up.since = Instant::now();
+        }
+        if let Err(e) = status {
+            let e = self.unavailable(shard, &e.to_string());
+            self.fail_conn(shard, e, done);
+        }
+    }
+
+    /// Drops a connection and fails every request queued on it, in FIFO
+    /// order. An idle connection is only dropped; a transport failure
+    /// with requests queued marks the shard down, and so does losing a
+    /// catch-up replay, so that the next good probe replays again.
+    fn fail_conn(&mut self, shard: usize, e: ProtoError, done: &mut Vec<(ReplyAddr, Reply)>) {
+        let Some(up) = self.shards[shard].conn.take() else { return };
+        if up.fifo.is_empty() {
+            return;
+        }
+        let replaying = up.fifo.iter().any(|w| matches!(w, Waiter::Replay));
+        if e.code == SHARD_UNAVAILABLE || replaying {
+            self.mark_down(shard);
+        }
+        for waiter in up.fifo {
+            if let Waiter::Slot(addr) = waiter {
+                done.push((addr, Err(e.clone())));
+            }
+        }
+    }
+
+    fn mark_down(&mut self, shard: usize) {
+        if self.shards[shard].health != Health::Down {
+            self.shards[shard].health = Health::Down;
+            self.shared.metrics.inc(&self.shared.metrics.shard_down_marks);
+        }
+    }
+
+    /// Readmits a down shard: replays the write history of every key it
+    /// replicates, ahead of any new request. The shard takes reads once
+    /// the last replay is answered.
+    fn mark_up(&mut self, shard: usize) {
+        if self.shards[shard].health != Health::Down {
+            return;
+        }
+        let m = &self.shared.metrics;
+        m.inc(&m.shard_up_marks);
+        let replicas = self.shared.config.replicas;
+        let lines: Vec<String> = self
+            .history
+            .iter()
+            .filter(|(key, _)| self.shared.ring.route(key, replicas).contains(&shard))
+            .flat_map(|(_, writes)| writes.iter().map(|w| w.line.clone()))
+            .collect();
+        self.shards[shard].health = if lines.is_empty() { Health::Up } else { Health::CatchingUp };
+        m.catchup_replays.fetch_add(lines.len() as u64, Ordering::Relaxed);
+        for line in &lines {
+            self.send(shard, line, Waiter::Replay);
+        }
+    }
+
+    /// Opens a probe connection with one ping queued.
+    fn start_probe(&mut self, shard: usize, now: Instant) {
+        self.shared.metrics.inc(&self.shared.metrics.probes);
+        match Outbound::connect(&self.shards[shard].addr) {
+            Ok(mut link) => {
+                link.send(r#"{"verb":"ping"}"#);
+                self.shards[shard].probe = Some(Probe { link, started: now });
+            }
+            Err(_) => self.finish_probe(shard, false, now),
+        }
+    }
+
+    fn probe_ready(&mut self, shard: usize, pfd: &PollFd) {
+        let Some(probe) = self.shards[shard].probe.as_mut() else { return };
+        let status = probe.link.ready(pfd.revents, &mut self.chunk);
+        match probe.link.next_line() {
+            Some(line) => self.finish_probe(shard, is_ok_reply(&line), Instant::now()),
+            None if status.is_err() => self.finish_probe(shard, false, Instant::now()),
+            None => {}
+        }
+    }
+
+    /// Closes the probe and schedules the next: after the interval when
+    /// the shard answered, after a doubled backoff when it did not.
+    fn finish_probe(&mut self, shard: usize, alive: bool, now: Instant) {
+        self.shards[shard].probe = None;
+        let delay = if alive {
+            self.mark_up(shard);
+            probe_interval(&self.shared.config)
+        } else {
+            self.mark_down(shard);
+            (self.shards[shard].delay * 2).clamp(BACKOFF_BASE, BACKOFF_CAP)
+        };
+        self.shards[shard].delay = delay;
+        self.shards[shard].next_probe = now + delay;
+    }
+
     /// Forwards one raw line to the owner of `key`, with the replica set
     /// queued as failover candidates.
-    fn start_forward(&self, conn: &mut Conn<Leg>, line: &Line<'_>, key: &str) {
+    fn start_forward(&mut self, conn: &mut Conn<Leg>, line: &Line<'_>, key: &str) {
         let m = &self.shared.metrics;
         m.inc(&m.forwarded);
         let candidates = self.shared.ring.route(key, self.shared.config.replicas);
-        // Skip shards already known dead: failover now, not after a
+        // Skip shards not taking reads: failover now, not after a
         // round-trip failure. Keep at least one candidate so the reply is
         // a real transport error when everything is down.
-        let mut live: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|&s| self.shared.shards[s].healthy.load(Ordering::SeqCst))
-            .collect();
+        let mut live: Vec<usize> =
+            candidates.iter().copied().filter(|&s| self.shards[s].health == Health::Up).collect();
         if live.is_empty() {
             live = candidates;
         }
         let addr = conn.next_addr();
-        let raw = line.text.to_owned();
-        let job = UpJob::Request { line: raw.clone(), addr };
-        if self.shared.shards[live[0]].jobs.send(job).is_err() {
-            // Worker pool gone (shutdown race): answer directly.
-            let e = ProtoError::new("shutting_down", "router is draining");
-            return self.fail(conn, line.display_id(), &e);
-        }
-        let leg = Leg::Forward { raw, candidates: live, tried: 0 };
+        self.send(live[0], line.text, Waiter::Slot(addr));
+        let leg = Leg::Forward { raw: line.text.to_owned(), candidates: live, tried: 0 };
         conn.push_pending(addr, line.id, line.started, leg);
     }
 
-    /// Sends `text` to every shard in `legs` as part `i` of the slot at
-    /// `addr`; a leg that cannot be queued (shutdown race) fails at once.
-    fn send_legs(&self, legs: &[usize], text: &str, addr: ReplyAddr) -> Vec<Option<Reply>> {
-        legs.iter()
-            .enumerate()
-            .map(|(part, &shard)| {
-                let job =
-                    UpJob::Request { line: text.to_owned(), addr: ReplyAddr { part, ..addr } };
-                match self.shared.shards[shard].jobs.send(job) {
-                    Ok(()) => None,
-                    Err(_) => Some(Err(ProtoError::new("shutting_down", "router is draining"))),
-                }
-            })
-            .collect()
-    }
-
     /// Fans one raw line out to the owner plus replicas of `key`.
-    /// `register` marks a registration whose line feeds the replica
-    /// catch-up store once a shard acknowledges it.
     fn start_fanout(&mut self, conn: &mut Conn<Leg>, line: &Line<'_>, key: String, register: bool) {
         let m = &self.shared.metrics;
         m.inc(&m.fanouts);
         let legs = self.shared.ring.route(&key, self.shared.config.replicas);
         m.fanout_legs.fetch_add(legs.len() as u64, Ordering::Relaxed);
         let addr = conn.next_addr();
-        let results = self.send_legs(&legs, line.text, addr);
-        let remaining = results.iter().filter(|r| r.is_none()).count();
-        let register_raw = register.then(|| line.text.to_owned());
-        if remaining == 0 {
-            // Nothing was sent (shutdown race): answer from what we have.
-            let id = line.id.map(JsonRef::to_json);
-            let reply = finish_fanout(
-                &mut self.aliases,
-                &self.shared,
-                &key,
-                register_raw.as_deref(),
-                &results,
-                id.as_ref(),
-            );
-            return conn.with_out(|out| out.push_str(&reply));
+        for (part, &shard) in legs.iter().enumerate() {
+            self.send(shard, line.text, Waiter::Slot(ReplyAddr { part, ..addr }));
         }
-        let leg = Leg::FanOut { key, results, remaining, register_raw };
+        // The write enters the history as it is sent: a replica readmitted
+        // while it is in flight then replays it in send order, like its
+        // peers receive it.
+        let seq = self.next_write;
+        self.next_write += 1;
+        if register || self.history.contains_key(&key) {
+            let write = Write { seq, line: line.text.to_owned() };
+            self.history.entry(key.clone()).or_default().push(write);
+        }
+        let leg = Leg::FanOut {
+            key,
+            seq,
+            register,
+            results: vec![None; legs.len()],
+            remaining: legs.len(),
+        };
         conn.push_pending(addr, line.id, line.started, leg);
     }
 
     /// Fans a `stats` probe to every shard for `cluster_stats`.
-    fn start_cluster_stats(&self, conn: &mut Conn<Leg>, line: &Line<'_>) {
-        let all: Vec<usize> = (0..self.shared.shards.len()).collect();
+    fn start_cluster_stats(&mut self, conn: &mut Conn<Leg>, line: &Line<'_>) {
         let addr = conn.next_addr();
-        let results = self.send_legs(&all, r#"{"verb":"stats"}"#, addr);
-        let remaining = results.iter().filter(|r| r.is_none()).count();
-        if remaining == 0 {
-            return conn.with_out(|out| {
-                render_cluster_stats(&self.shared, out, line.display_id(), &results)
-            });
+        let shards = self.shards.len();
+        for part in 0..shards {
+            self.send(part, r#"{"verb":"stats"}"#, Waiter::Slot(ReplyAddr { part, ..addr }));
         }
-        conn.push_pending(addr, line.id, line.started, Leg::ClusterStats { results, remaining });
+        let leg = Leg::ClusterStats { results: vec![None; shards], remaining: shards };
+        conn.push_pending(addr, line.id, line.started, leg);
     }
 
+    /// Picks the fan-out reply (owner first, then any shard that answered
+    /// at all), learns fingerprint aliases from ok replies, settles the
+    /// write's place in the catch-up history, and renders the final line.
+    fn finish_fanout(
+        &mut self,
+        key: &str,
+        seq: u64,
+        register: bool,
+        results: &[Option<Reply>],
+        id: Option<&Json>,
+    ) -> String {
+        let m = &self.shared.metrics;
+        // Learn `fingerprint → key` from every ok leg: a later request
+        // addressing the model by fingerprint must route to this set.
+        let mut acked = false;
+        for line in results.iter().flatten().flatten() {
+            if let Ok(v) = Json::parse_ref(line) {
+                if v.get("ok").and_then(JsonRef::as_bool) == Some(true) {
+                    acked = true;
+                    if let Some(fp) = v.get("fingerprint").and_then(JsonRef::as_str) {
+                        self.aliases.insert(fp.to_owned(), key.to_owned());
+                    }
+                }
+            }
+        }
+        // An acknowledged register restarts the key's history; a write no
+        // replica acknowledged leaves it. Pending and rejected reports are
+        // acknowledged: they move the refiner's corroboration state.
+        if let Some(writes) = self.history.get_mut(key) {
+            // Writes in flight sit at the tail: search from there.
+            if let Some(i) = writes.iter().rposition(|w| w.seq == seq) {
+                if !acked {
+                    writes.remove(i);
+                } else if register {
+                    writes.drain(..i);
+                }
+            }
+            if writes.is_empty() {
+                self.history.remove(key);
+            }
+        }
+        // Reply preference: first leg (route order: owner, then replicas)
+        // that produced *any* protocol reply — ok or a deterministic error
+        // like invalid_model, which every replica reproduces.
+        let mut last_err: Option<&ProtoError> = None;
+        for result in results.iter().flatten() {
+            match result {
+                Ok(line) => return line.clone(),
+                Err(e) => last_err = Some(e),
+            }
+        }
+        m.inc(&m.errors);
+        m.inc(&m.failover_exhausted);
+        let fallback = ProtoError::new(SHARD_UNAVAILABLE, "no replica answered");
+        err_line(id, last_err.unwrap_or(&fallback))
+    }
+
+    /// The `shards` array of the router's `stats`: a shard is healthy
+    /// while it takes reads.
     fn shards_health_json(&self) -> String {
         let mut out = String::from("[");
-        for (i, shard) in self.shared.shards.iter().enumerate() {
+        for (i, shard) in self.shards.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
@@ -719,12 +879,17 @@ impl RouteHandler {
                 out,
                 "{{\"addr\":{},\"healthy\":{}}}",
                 JsonStr(&shard.addr.to_string()),
-                shard.healthy.load(Ordering::SeqCst)
+                shard.health == Health::Up
             );
         }
         out.push(']');
         out
     }
+}
+
+/// True for an `ok` reply line.
+fn is_ok_reply(line: &str) -> bool {
+    Json::parse_ref(line).is_ok_and(|v| v.get("ok").and_then(JsonRef::as_bool) == Some(true))
 }
 
 /// A `shutting_down` reply from a draining shard is a failover trigger,
@@ -744,62 +909,10 @@ fn err_line(id: Option<&Json>, e: &ProtoError) -> String {
     out
 }
 
-/// Picks the fan-out reply (owner first, then any shard that answered at
-/// all), learns fingerprint aliases from ok replies, records acknowledged
-/// registrations for replica catch-up, and renders the final line.
-fn finish_fanout(
-    aliases: &mut HashMap<String, String>,
-    shared: &Shared,
-    key: &str,
-    register_raw: Option<&str>,
-    results: &[Option<Reply>],
-    id: Option<&Json>,
-) -> String {
-    let m = &shared.metrics;
-    // Learn `fingerprint → key` from every ok leg: a later request
-    // addressing the model by fingerprint must route to this set.
-    let mut acked = false;
-    for line in results.iter().flatten().flatten() {
-        if let Ok(v) = Json::parse_ref(line) {
-            if v.get("ok").and_then(JsonRef::as_bool) == Some(true) {
-                acked = true;
-                if let Some(fp) = v.get("fingerprint").and_then(JsonRef::as_str) {
-                    aliases.insert(fp.to_owned(), key.to_owned());
-                }
-            }
-        }
-    }
-    // An acknowledged register becomes the cluster's replayable line: if
-    // a replica of `key` later restarts empty, the prober-triggered
-    // catch-up re-sends exactly what a shard accepted here.
-    if acked {
-        if let Some(raw) = register_raw {
-            shared
-                .catchup
-                .lock()
-                .expect("catchup lock")
-                .insert(key.to_owned(), raw.to_owned());
-        }
-    }
-    // Reply preference: first leg (route order: owner, then replicas)
-    // that produced *any* protocol reply — ok or a deterministic error
-    // like invalid_model, which every replica reproduces.
-    let mut last_err: Option<&ProtoError> = None;
-    for result in results.iter().flatten() {
-        match result {
-            Ok(line) => return line.clone(),
-            Err(e) => last_err = Some(e),
-        }
-    }
-    m.inc(&m.errors);
-    m.inc(&m.failover_exhausted);
-    let fallback = ProtoError::new(SHARD_UNAVAILABLE, "no replica answered");
-    err_line(id, last_err.unwrap_or(&fallback))
-}
-
-/// Merges per-shard stats legs: counters sum by name, latency histograms
-/// sum bucket-wise (exact — all shards share the bucket layout), and each
-/// shard reports health from whether its leg answered.
+/// Merges per-shard stats legs: counters sum by name (peak gauges take
+/// the maximum), latency histograms sum bucket-wise (exact — all shards
+/// share the bucket layout), and each shard reports health from whether
+/// its leg answered.
 fn render_cluster_stats(
     shared: &Shared,
     out: &mut String,
@@ -810,13 +923,13 @@ fn render_cluster_stats(
     let mut latency = HistogramSnapshot::default();
     let mut healthy = 0usize;
     render_ok_head(out, id, "cluster_stats");
-    let _ = write!(out, ",\"total_shards\":{}", shared.shards.len());
+    let _ = write!(out, ",\"total_shards\":{}", shared.config.shards.len());
     let mut shards_json = String::from("[");
     for (i, result) in results.iter().enumerate() {
         if i > 0 {
             shards_json.push(',');
         }
-        let addr = shared.shards[i].addr;
+        let addr = shared.config.shards[i];
         match result {
             Some(Ok(line)) => {
                 let parsed = Json::parse(line).ok();
@@ -887,6 +1000,7 @@ fn is_shutting_down_reply(line: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fpm_serve::client::Client;
     use fpm_serve::protocol::{err_response, MAX_FRAME_BYTES};
     use fpm_serve::server::{spawn as spawn_shard, ServerConfig};
     use fpm_serve::AlgorithmId;
@@ -1178,6 +1292,31 @@ mod tests {
         reader.read_to_string(&mut rest).unwrap();
         let refusal = ProtoError::new("shutting_down", "server is draining");
         assert_eq!(rest, err_response(None, &refusal) + "\n");
+        router.shutdown_and_join();
+        for s in shards {
+            s.shutdown_and_join();
+        }
+    }
+
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn the_loop_is_the_only_router_thread() {
+        let (shards, router) = spawn_cluster(2);
+        // Forwards, fan-outs and stats legs open upstream connections.
+        let mut client = Client::connect(router.addr, Duration::from_secs(10)).unwrap();
+        client.register_inline("threads", &demo_models()).unwrap();
+        client.partition("threads", 1_000_000, AlgorithmId::Combined, None).unwrap();
+        let mut raw = String::new();
+        client.request_line(r#"{"verb":"cluster_stats"}"#, &mut raw).unwrap();
+        let mut names = Vec::new();
+        for task in std::fs::read_dir("/proc/self/task").unwrap().flatten() {
+            let comm = std::fs::read_to_string(task.path().join("comm")).unwrap_or_default();
+            if comm.starts_with("fpm-router") {
+                names.push(comm.trim().to_owned());
+            }
+        }
+        assert!(names.iter().any(|n| n == "fpm-router-loop"), "{names:?}");
+        assert!(names.iter().all(|n| n == "fpm-router-loop"), "{names:?}");
         router.shutdown_and_join();
         for s in shards {
             s.shutdown_and_join();

@@ -257,9 +257,12 @@ impl Client {
     }
 
     /// Sends one raw request line and reads the raw response line into
-    /// `reply` (cleared first; trailing newline stripped). The router's
-    /// forwarding path uses this to relay shard replies byte-identically —
-    /// re-rendering through a parser could perturb float formatting.
+    /// `reply` (cleared first; trailing newline stripped), byte for byte:
+    /// re-rendering through a parser could perturb float formatting. The
+    /// tests compare routed and direct replies with it. (The router
+    /// itself relays shard replies through its own pipelined
+    /// [`crate::conn::Outbound`] connections, with the same line-ending
+    /// strip.)
     pub fn request_line(&mut self, line: &str, reply: &mut String) -> Result<(), ProtoError> {
         self.send_line(line)?;
         self.recv_line(reply)?;

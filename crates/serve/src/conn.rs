@@ -10,9 +10,23 @@
 //! One thread owns the listener, the read end of a self-wake pipe and all
 //! connection state; it blocks only in `poll(2)`. Work that cannot finish
 //! inline (a cold solve, a shard round trip) leaves a pending slot in the
-//! connection's reply queue. The worker that finishes it posts the
+//! connection's reply queue. A worker thread that finishes it posts the
 //! result through a [`Completer`], which writes one byte to the wake pipe
 //! so the poller resumes and hands the result to [`Handler::complete`].
+//!
+//! A handler may also keep connections of its own in the same loop
+//! ([`Outbound`]: nonblocking connect, a write buffer, newline-framed
+//! reads). It adds them to the poll set in [`Handler::poll_fds`], takes
+//! their readiness in [`Handler::take_ready`], runs timers in
+//! [`Handler::expire`], and writes once per iteration in
+//! [`Handler::flush`], after every client line has been handled. Results
+//! from these hooks reach [`Handler::complete`] exactly like posted ones.
+//! `fpm-router` forwards to its shards this way, with no thread besides
+//! the loop.
+//!
+//! One iteration: poll; posted results; accepts; client reads (each line
+//! to [`Handler::handle`]); [`Handler::take_ready`]; [`Handler::expire`];
+//! [`Handler::flush`]; then every connection's ready replies are written.
 //!
 //! # Connection state machine
 //!
@@ -46,14 +60,15 @@
 //!
 //! Once [`Handler::stopping`] reports true the loop stops accepting and
 //! reading, lets every pending slot resolve, flushes each connection and
-//! closes it; it exits when no connection remains or a 5 s grace period
-//! ends, whichever is first. A request line still read after the stop is
-//! answered with `shutting_down`.
+//! closes it; it exits when no connection remains and [`Handler::flush`]
+//! reports nothing in flight, or when a 5 s grace period ends, whichever
+//! is first. A request line still read after the stop is answered with
+//! `shutting_down`.
 
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
 use std::io::{self, ErrorKind, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::sync::{mpsc, Arc};
@@ -119,11 +134,34 @@ pub trait Handler {
         started: Instant,
     ) -> Option<String>;
 
-    /// Answers every pending slot whose deadline has passed and returns
-    /// the nearest remaining deadline, which bounds the next poll. Called
-    /// once per loop iteration; the default has no deadlines.
-    fn expire(&mut self, _conns: &mut Conns<Self::Pending>) -> Option<Instant> {
+    /// Answers every pending slot whose deadline has passed, runs the
+    /// handler's own timers, and returns the nearest remaining deadline,
+    /// which bounds the next poll. Results pushed to `done` reach
+    /// [`Handler::complete`] like posted ones; while it pushes any, the
+    /// loop calls it again. The default has no deadlines.
+    fn expire(
+        &mut self,
+        _conns: &mut Conns<Self::Pending>,
+        _done: &mut Vec<(ReplyAddr, Self::Done)>,
+    ) -> Option<Instant> {
         None
+    }
+
+    /// Appends the handler's own descriptors (its [`Outbound`]
+    /// connections) to the poll set; called once per iteration.
+    fn poll_fds(&mut self, _fds: &mut Vec<sys::PollFd>) {}
+
+    /// Takes the readiness of the descriptors [`Handler::poll_fds`]
+    /// added, in the same order. Results pushed to `done` reach
+    /// [`Handler::complete`] like posted ones.
+    fn take_ready(&mut self, _fds: &[sys::PollFd], _done: &mut Vec<(ReplyAddr, Self::Done)>) {}
+
+    /// Writes what this iteration queued on the handler's own
+    /// connections; called once per iteration, after every client line
+    /// has been handled. Returns true while work is still in flight that
+    /// a drain must wait for.
+    fn flush(&mut self) -> bool {
+        false
     }
 }
 
@@ -192,14 +230,16 @@ pub struct Completions<D> {
 }
 
 impl<D> Completions<D> {
-    fn drain_wake(&self) {
+    /// Empties the wake pipe. Returns true at EOF: every [`Completer`]
+    /// is gone, so nothing can post again.
+    fn drain_wake(&self) -> bool {
         let mut buf = [0u8; 256];
         loop {
             match (&self.wake).read(&mut buf) {
-                Ok(0) => return,
+                Ok(0) => return true,
                 Ok(_) => {}
                 Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return,
+                Err(_) => return false,
             }
         }
     }
@@ -280,9 +320,7 @@ pub struct Conn<P> {
     rbuf: Vec<u8>,
     /// Prefix of `rbuf` already scanned for a newline.
     scanned: usize,
-    /// Outbound bytes; `wpos..` is still unflushed.
-    wbuf: Vec<u8>,
-    wpos: usize,
+    wbuf: WriteBuf,
     /// Render scratch for inline replies (reused, rarely grows).
     scratch: String,
     pending: VecDeque<Slot<P>>,
@@ -302,8 +340,7 @@ impl<P> Conn<P> {
             stream,
             rbuf: Vec::with_capacity(4096),
             scanned: 0,
-            wbuf: Vec::with_capacity(4096),
-            wpos: 0,
+            wbuf: WriteBuf::default(),
             scratch: String::with_capacity(256),
             pending: VecDeque::new(),
             next_seq: 1,
@@ -321,7 +358,7 @@ impl<P> Conn<P> {
             self.scratch.clear();
             render(&mut self.scratch);
             self.scratch.push('\n');
-            self.wbuf.extend_from_slice(self.scratch.as_bytes());
+            self.wbuf.bytes.extend_from_slice(self.scratch.as_bytes());
         } else {
             let mut out = String::new();
             render(&mut out);
@@ -370,22 +407,11 @@ impl<P> Conn<P> {
         self.closing = true;
     }
 
-    /// Reads until the socket would block (or one chunk short of full).
+    /// Reads what the socket holds; EOF or a read error (the peer went
+    /// away) stops reading, and what we owe is still flushed.
     fn read_available(&mut self, chunk: &mut [u8]) {
-        loop {
-            match self.stream.read(chunk) {
-                Ok(0) => return self.close_after_flush(),
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    if n < chunk.len() {
-                        return; // likely drained; poll re-reports leftovers
-                    }
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                // Peer went away: treat as EOF, flush what we owe.
-                Err(_) => return self.close_after_flush(),
-            }
+        if !matches!(read_into(&mut self.stream, &mut self.rbuf, chunk), Ok(false)) {
+            self.close_after_flush();
         }
     }
 
@@ -393,39 +419,183 @@ impl<P> Conn<P> {
     fn pump(&mut self) {
         while let Some(Slot { state: SlotState::Ready(_), .. }) = self.pending.front() {
             if let Some(Slot { state: SlotState::Ready(text), .. }) = self.pending.pop_front() {
-                self.wbuf.extend_from_slice(text.as_bytes());
+                self.wbuf.bytes.extend_from_slice(text.as_bytes());
             }
-        }
-    }
-
-    /// Flushes as much of the write buffer as the socket accepts.
-    fn try_write(&mut self) {
-        while self.wpos < self.wbuf.len() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        if self.wpos == self.wbuf.len() {
-            self.wbuf.clear();
-            self.wpos = 0;
-        } else if self.wpos >= WBUF_COMPACT {
-            self.wbuf.drain(..self.wpos);
-            self.wpos = 0;
         }
     }
 
     fn flushed(&self) -> bool {
-        self.pending.is_empty() && self.wpos >= self.wbuf.len()
+        self.pending.is_empty() && !self.wbuf.pending()
+    }
+}
+
+/// Reads until `stream` would block (or one chunk short of full),
+/// appending to `rbuf`. Returns true at EOF.
+fn read_into(stream: &mut TcpStream, rbuf: &mut Vec<u8>, chunk: &mut [u8]) -> io::Result<bool> {
+    loop {
+        match stream.read(chunk) {
+            Ok(0) => return Ok(true),
+            Ok(n) => {
+                rbuf.extend_from_slice(&chunk[..n]);
+                if n < chunk.len() {
+                    return Ok(false); // likely drained; poll re-reports leftovers
+                }
+            }
+            Err(e) if e.kind() == ErrorKind::WouldBlock => return Ok(false),
+            Err(e) if e.kind() == ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+}
+
+/// Outbound bytes with a flush offset: `pos..` is still unflushed.
+#[derive(Default)]
+struct WriteBuf {
+    bytes: Vec<u8>,
+    pos: usize,
+}
+
+impl WriteBuf {
+    fn pending(&self) -> bool {
+        self.pos < self.bytes.len()
+    }
+
+    /// Writes as much as `stream` accepts. An error means the peer is
+    /// gone.
+    fn flush(&mut self, stream: &mut TcpStream) -> io::Result<()> {
+        while self.pending() {
+            match stream.write(&self.bytes[self.pos..]) {
+                Ok(0) => return Err(ErrorKind::WriteZero.into()),
+                Ok(n) => self.pos += n,
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => return Err(e),
+            }
+        }
+        if !self.pending() {
+            self.bytes.clear();
+            self.pos = 0;
+        } else if self.pos >= WBUF_COMPACT {
+            self.bytes.drain(..self.pos);
+            self.pos = 0;
+        }
+        Ok(())
+    }
+}
+
+/// A connection a handler opens to another daemon: nonblocking connect,
+/// a write buffer, and newline-framed reads. Replies carry no frame
+/// bound: a reply longer than [`MAX_FRAME_BYTES`] splits like any other.
+/// The handler polls it through [`Handler::poll_fds`] and
+/// [`Handler::take_ready`].
+pub struct Outbound {
+    stream: TcpStream,
+    /// The handshake has not finished yet.
+    connecting: bool,
+    rbuf: Vec<u8>,
+    /// Start of the unconsumed part of `rbuf`.
+    rpos: usize,
+    /// Bytes from `rpos` already scanned for a newline.
+    scanned: usize,
+    wbuf: WriteBuf,
+}
+
+impl Outbound {
+    /// Starts connecting to `addr` without blocking; lines sent before
+    /// the handshake ends wait in the write buffer.
+    pub fn connect(addr: &SocketAddr) -> io::Result<Self> {
+        let stream = sys::connect_nonblocking(addr)?;
+        stream.set_nodelay(true).ok();
+        Ok(Outbound {
+            stream,
+            connecting: true,
+            rbuf: Vec::new(),
+            rpos: 0,
+            scanned: 0,
+            wbuf: WriteBuf::default(),
+        })
+    }
+
+    /// The poll entry: readable always, writable while connecting or
+    /// while output is unflushed.
+    pub fn poll_fd(&self) -> sys::PollFd {
+        let mut events = sys::POLLIN;
+        if self.connecting || self.wbuf.pending() {
+            events |= sys::POLLOUT;
+        }
+        sys::PollFd { fd: self.stream.as_raw_fd(), events, revents: 0 }
+    }
+
+    /// Queues one line (the newline is added).
+    pub fn send(&mut self, line: &str) {
+        self.wbuf.bytes.extend_from_slice(line.as_bytes());
+        self.wbuf.bytes.push(b'\n');
+    }
+
+    /// True until the handshake ends.
+    pub fn is_connecting(&self) -> bool {
+        self.connecting
+    }
+
+    /// Writes queued output; a no-op until the handshake ends.
+    pub fn flush(&mut self) -> io::Result<()> {
+        if self.connecting {
+            return Ok(());
+        }
+        self.wbuf.flush(&mut self.stream)
+    }
+
+    /// Applies the `revents` of [`Outbound::poll_fd`]'s entry: ends the
+    /// handshake, flushes, and reads. Complete lines read before a
+    /// failure stay available to [`Outbound::next_line`]; the error
+    /// (EOF included) means the connection is over.
+    pub fn ready(&mut self, revents: i16, chunk: &mut [u8]) -> io::Result<()> {
+        if revents == 0 {
+            return Ok(());
+        }
+        if revents & sys::POLLNVAL != 0 {
+            return Err(ErrorKind::NotConnected.into());
+        }
+        if self.connecting {
+            if let Some(e) = self.stream.take_error()? {
+                return Err(e);
+            }
+            self.connecting = false;
+        }
+        // Read before writing, so replies sent ahead of a close are kept.
+        if revents & (sys::POLLIN | sys::POLLHUP | sys::POLLERR) != 0 {
+            if self.rpos > 0 {
+                self.rbuf.drain(..self.rpos);
+                self.rpos = 0;
+            }
+            if read_into(&mut self.stream, &mut self.rbuf, chunk)? {
+                return Err(io::Error::new(
+                    ErrorKind::UnexpectedEof,
+                    "server closed the connection",
+                ));
+            }
+        }
+        self.flush()
+    }
+
+    /// The next complete line read, without its line ending.
+    pub fn next_line(&mut self) -> Option<String> {
+        let start = self.rpos + self.scanned;
+        let Some(off) = self.rbuf[start..].iter().position(|&b| b == b'\n') else {
+            self.scanned = self.rbuf.len() - self.rpos;
+            return None;
+        };
+        let mut end = start + off;
+        let next = end + 1;
+        if end > self.rpos && self.rbuf[end - 1] == b'\r' {
+            end -= 1;
+        }
+        // One spare byte: a relayed line gets its newline back.
+        let mut line = String::with_capacity(end - self.rpos + 1);
+        line.push_str(&String::from_utf8_lossy(&self.rbuf[self.rpos..end]));
+        self.rpos = next;
+        self.scanned = 0;
+        Some(line)
     }
 }
 
@@ -466,8 +636,13 @@ impl<H: Handler> EventLoop<H> {
     fn run(&mut self) {
         let mut fds: Vec<sys::PollFd> = Vec::new();
         let mut ids: Vec<u64> = Vec::new();
+        let mut done: Vec<(ReplyAddr, H::Done)> = Vec::new();
         let mut stop_at: Option<Instant> = None;
         let mut deadline: Option<Instant> = None;
+        let mut busy = false;
+        // A handler that keeps no Completer closes the pipe at once; a
+        // closed pipe polls readable forever, so it leaves the poll set.
+        let mut wake_open = true;
         loop {
             let stopping = self.handler.stopping();
             if stopping && stop_at.is_none() {
@@ -479,7 +654,8 @@ impl<H: Handler> EventLoop<H> {
                 }
             }
             self.conns.retain(|_, conn| !(conn.dead || conn.closing && conn.flushed()));
-            if stopping && (self.conns.is_empty() || stop_at.is_some_and(|t| Instant::now() >= t)) {
+            let drained = self.conns.is_empty() && !busy;
+            if stopping && (drained || stop_at.is_some_and(|t| Instant::now() >= t)) {
                 return;
             }
 
@@ -491,7 +667,8 @@ impl<H: Handler> EventLoop<H> {
                 revents: 0,
             });
             fds.push(sys::PollFd {
-                fd: self.completions.wake.as_raw_fd(),
+                // poll(2) skips negative descriptors.
+                fd: if wake_open { self.completions.wake.as_raw_fd() } else { -1 },
                 events: sys::POLLIN,
                 revents: 0,
             });
@@ -500,12 +677,14 @@ impl<H: Handler> EventLoop<H> {
                 if !conn.eof {
                     events |= sys::POLLIN;
                 }
-                if conn.wpos < conn.wbuf.len() {
+                if conn.wbuf.pending() {
                     events |= sys::POLLOUT;
                 }
                 fds.push(sys::PollFd { fd: conn.stream.as_raw_fd(), events, revents: 0 });
                 ids.push(id);
             }
+            let outbound = fds.len();
+            self.handler.poll_fds(&mut fds);
 
             let timeout = match deadline {
                 _ if stopping => DRAIN_TICK_MS,
@@ -518,8 +697,8 @@ impl<H: Handler> EventLoop<H> {
             };
             sys::poll_fds(&mut fds, timeout);
 
-            if fds[1].revents != 0 {
-                self.completions.drain_wake();
+            if fds[1].revents != 0 && self.completions.drain_wake() {
+                wake_open = false;
             }
             self.drain_completions();
             if fds[0].revents != 0 {
@@ -535,11 +714,22 @@ impl<H: Handler> EventLoop<H> {
                     self.read_ready(id);
                 }
             }
-            deadline = self.handler.expire(&mut self.conns);
+            self.handler.take_ready(&fds[outbound..], &mut done);
+            self.deliver(&mut done);
+            // Delivered results may start new timed work, so expire runs
+            // until a pass has nothing to deliver.
+            loop {
+                deadline = self.handler.expire(&mut self.conns, &mut done);
+                if done.is_empty() {
+                    break;
+                }
+                self.deliver(&mut done);
+            }
+            busy = self.handler.flush();
             for conn in self.conns.values_mut() {
                 conn.pump();
-                if conn.wpos < conn.wbuf.len() {
-                    conn.try_write();
+                if conn.wbuf.pending() && conn.wbuf.flush(&mut conn.stream).is_err() {
+                    conn.dead = true;
                 }
             }
         }
@@ -572,21 +762,33 @@ impl<H: Handler> EventLoop<H> {
     /// Hands every posted result to its pending slot.
     fn drain_completions(&mut self) {
         while let Ok((addr, done)) = self.completions.rx.try_recv() {
-            let Some(conn) = self.conns.get_mut(&addr.conn) else {
-                continue; // connection gone
-            };
-            let Some(slot) = conn.pending.iter_mut().find(|s| s.seq == addr.seq) else {
-                continue; // slot already answered and flushed
-            };
-            // A ready slot was answered early (deadline): drop the result.
-            let SlotState::Pending(state) = &mut slot.state else {
-                continue;
-            };
-            if let Some(text) =
-                self.handler.complete(addr, done, state, slot.id.as_ref(), slot.started)
-            {
-                slot.resolve(text);
-            }
+            self.complete(addr, done);
+        }
+    }
+
+    /// Hands results from the handler's own hooks to their slots.
+    fn deliver(&mut self, done: &mut Vec<(ReplyAddr, H::Done)>) {
+        for (addr, result) in done.drain(..) {
+            self.complete(addr, result);
+        }
+    }
+
+    /// Applies one result to the pending slot at `addr`, if it still
+    /// waits for one.
+    fn complete(&mut self, addr: ReplyAddr, done: H::Done) {
+        let Some(conn) = self.conns.get_mut(&addr.conn) else {
+            return; // connection gone
+        };
+        let Some(slot) = conn.pending.iter_mut().find(|s| s.seq == addr.seq) else {
+            return; // slot already answered and flushed
+        };
+        // A ready slot was answered early (deadline): drop the result.
+        let SlotState::Pending(state) = &mut slot.state else {
+            return;
+        };
+        if let Some(text) = self.handler.complete(addr, done, state, slot.id.as_ref(), slot.started)
+        {
+            slot.resolve(text);
         }
     }
 

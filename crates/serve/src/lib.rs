@@ -21,7 +21,9 @@
 //! * [`conn`] — the line-framed connection core: one nonblocking
 //!   `poll(2)` loop with request pipelining and graceful drain, generic
 //!   over a request [`conn::Handler`] (this crate's [`server`] and the
-//!   `fpm-router` daemon are its two handlers), on the [`poll`] shim;
+//!   `fpm-router` daemon are its two handlers), plus outbound
+//!   connections a handler polls in the same loop ([`conn::Outbound`]),
+//!   on the [`poll`] shim;
 //! * [`server`] / [`client`] — the line-delimited JSON TCP protocol
 //!   ([`protocol`]) and a small blocking client;
 //! * [`loadgen`] — a deterministic closed-loop load generator;

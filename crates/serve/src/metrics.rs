@@ -189,7 +189,7 @@ impl HistogramSnapshot {
 }
 
 /// A name → value counter bag parsed back from a `stats` reply, used to
-/// sum per-shard counters into cluster-wide totals. Keys keep the order
+/// merge per-shard counters into cluster-wide totals. Keys keep the order
 /// of first appearance so merged output stays stable across shards that
 /// share the counter layout.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
@@ -218,10 +218,12 @@ impl Counters {
         Counters { entries }
     }
 
-    /// Sums `other` into `self` by key; keys new to `self` are appended.
+    /// Merges `other` into `self` by key: counters sum, peak gauges
+    /// (`*_peak`) take the maximum. Keys new to `self` are appended.
     pub fn merge(&mut self, other: &Counters) {
         for (key, value) in &other.entries {
             match self.entries.iter_mut().find(|(k, _)| k == key) {
+                Some((_, mine)) if key.ends_with("_peak") => *mine = (*mine).max(*value),
                 Some((_, mine)) => *mine += value,
                 None => self.entries.push((key.clone(), *value)),
             }
@@ -522,6 +524,26 @@ mod tests {
         assert_eq!(merged.len(), a.len());
         let back = merged.to_json();
         assert_eq!(back.get("requests").and_then(Json::as_u64), Some(3));
+    }
+
+    #[test]
+    fn counters_merge_takes_the_maximum_of_peak_gauges() {
+        // Three shards, each at pipeline depth 1 and queue depth 1: the
+        // cluster's peaks are 1, while the current depths still sum.
+        let mut merged = Counters::new();
+        for _ in 0..3 {
+            let m = Metrics::new();
+            m.observe_pipeline_depth(1);
+            m.queue_enter();
+            merged.merge(&Counters::from_json(&m.snapshot_json()));
+        }
+        assert_eq!(merged.get("pipeline_depth_peak"), Some(1));
+        assert_eq!(merged.get("queue_depth_peak"), Some(1));
+        assert_eq!(merged.get("queue_depth"), Some(3));
+        let deep = Metrics::new();
+        deep.observe_pipeline_depth(8);
+        merged.merge(&Counters::from_json(&deep.snapshot_json()));
+        assert_eq!(merged.get("pipeline_depth_peak"), Some(8));
     }
 
     #[test]

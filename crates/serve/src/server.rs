@@ -257,7 +257,11 @@ impl Handler for ServeHandler {
 
     /// Answers every slot whose deadline has passed; late pool results
     /// for an answered slot are dropped by the core.
-    fn expire(&mut self, conns: &mut Conns<Solve>) -> Option<Instant> {
+    fn expire(
+        &mut self,
+        conns: &mut Conns<Solve>,
+        _: &mut Vec<(ReplyAddr, Solved)>,
+    ) -> Option<Instant> {
         let now = Instant::now();
         let m = &self.shared.metrics;
         let mut nearest: Option<Instant> = None;
