@@ -2,8 +2,6 @@
 
 pub mod ablations;
 pub mod bench_partition;
-pub mod bench_router;
-pub mod bench_serve;
 pub mod extensions;
 pub mod fig1;
 pub mod fig11;

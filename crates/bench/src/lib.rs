@@ -36,8 +36,6 @@
 //! | `ext_secant` | regula-falsi line search ("ideal algorithm") | [`experiments::extensions`] |
 //! | `ext_dynamic` | adaptive re-partitioning under load shifts | [`experiments::extensions`] |
 //! | `bench_partition` | optimised vs seed paths (writes `BENCH_partition.json`) | [`experiments::bench_partition`] |
-//! | `bench_serve` | daemon throughput/latency, cold vs warm cache (writes `BENCH_serve.json`) | [`experiments::bench_serve`] |
-//! | `bench_router` | sharded serving vs single daemon + failover burst (writes `BENCH_router.json`) | [`experiments::bench_router`] |
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -78,8 +76,6 @@ pub const ALL_EXPERIMENTS: &[&str] = &[
     "ext_secant",
     "ext_dynamic",
     "bench_partition",
-    "bench_serve",
-    "bench_router",
 ];
 
 /// Runs one experiment by id.
@@ -114,8 +110,6 @@ pub fn run_experiment(id: &str) -> Option<Report> {
         "ext_secant" => Some(experiments::extensions::secant()),
         "ext_dynamic" => Some(experiments::extensions::dynamic()),
         "bench_partition" => Some(experiments::bench_partition::run()),
-        "bench_serve" => Some(experiments::bench_serve::run()),
-        "bench_router" => Some(experiments::bench_router::run()),
         _ => None,
     }
 }

@@ -28,8 +28,8 @@ use fpm_serve::json::Json;
 /// Version of the shared `BENCH_*.json` envelope. Bump when the envelope
 /// (not an experiment's `results` payload) changes shape.
 ///
-/// History: 2 — serve results gained `pipelined`/`batch` phases and the
-/// cluster stanza gained the load-shape parameters; 1 — initial envelope.
+/// History: 2 — bumped for a payload change of the since-retired
+/// `bench_serve` experiment; 1 — initial envelope.
 pub const BENCH_SCHEMA_VERSION: u64 = 2;
 
 /// A tabular experiment result.

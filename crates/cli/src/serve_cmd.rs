@@ -342,12 +342,24 @@ pub fn loadgen(opts: &LoadgenOptions) -> Result<String, String> {
     );
     if opts.near_dup {
         // Near-dup bursts exist to exercise the warm-start path; surface
-        // the server's counters so callers (CI) can assert on them.
+        // the solver's counters so callers (CI) can assert on them. A
+        // router answers `stats` with its own routing counters, so ask for
+        // the shards' merged `cluster_stats` first; a shard answers that
+        // verb with `unknown_verb` and its own `stats` hold the counters.
         let mut client = Client::connect(addr, Duration::from_secs(10))
             .map_err(|e| format!("connect for stats: {e}"))?;
-        let stats = client.stats().map_err(|e| format!("stats: {e}"))?;
-        let warm = stats.get("warm_starts").and_then(Json::as_u64).unwrap_or(0);
-        let fallbacks = stats.get("warm_start_fallbacks").and_then(Json::as_u64).unwrap_or(0);
+        let reply = client
+            .request_raw(r#"{"verb":"cluster_stats"}"#)
+            .map_err(|e| format!("cluster_stats: {e}"))?;
+        let stats = match reply.get("error").and_then(Json::as_str) {
+            Some("unknown_verb") => client.stats().map_err(|e| format!("stats: {e}"))?,
+            Some(code) => return Err(format!("cluster_stats: {code}")),
+            None => reply.get("stats").cloned().unwrap_or(Json::Null),
+        };
+        let counter = |name: &str| {
+            stats.get(name).and_then(Json::as_u64).ok_or_else(|| format!("stats carry no {name}"))
+        };
+        let (warm, fallbacks) = (counter("warm_starts")?, counter("warm_start_fallbacks")?);
         let _ = writeln!(out, "warm_starts {warm}  warm_start_fallbacks {fallbacks}");
     }
     if opts.shutdown_after {
@@ -456,14 +468,9 @@ mod tests {
         server.join().unwrap().unwrap();
     }
 
-    #[test]
-    fn loadgen_near_dup_reports_warm_starts() {
-        let opts = ServeOptions { addr: "127.0.0.1:0".to_owned(), ..ServeOptions::default() };
-        let (tx, rx) = mpsc::channel();
-        let server = std::thread::spawn(move || {
-            serve(&opts, move |addr| tx.send(addr).unwrap())
-        });
-        let addr = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+    /// Runs a near-dup burst against `addr` (one daemon or a router),
+    /// shuts the deployment down and returns the printed `warm_starts`.
+    fn near_dup_warm_starts(addr: SocketAddr) -> u64 {
         let lg = LoadgenOptions {
             addr: addr.to_string(),
             cluster: "nd".to_owned(),
@@ -478,15 +485,47 @@ mod tests {
         let out = loadgen(&lg).unwrap();
         assert!(out.contains("near-dup sizes"), "{out}");
         assert!(out.contains("errors 0"), "{out}");
-        assert!(out.contains("warm_starts "), "{out}");
-        let warm: u64 = out
-            .lines()
+        out.lines()
             .find_map(|l| l.strip_prefix("warm_starts "))
             .and_then(|rest| rest.split_whitespace().next())
             .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("no warm_starts line in {out}"));
-        assert!(warm > 0, "near-dup burst must warm-start: {out}");
+            .unwrap_or_else(|| panic!("no warm_starts line in {out}"))
+    }
+
+    #[test]
+    fn loadgen_near_dup_reports_warm_starts() {
+        let opts = ServeOptions { addr: "127.0.0.1:0".to_owned(), ..ServeOptions::default() };
+        let (tx, rx) = mpsc::channel();
+        let server = std::thread::spawn(move || {
+            serve(&opts, move |addr| tx.send(addr).unwrap())
+        });
+        let addr = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        let warm = near_dup_warm_starts(addr);
+        assert!(warm > 0, "near-dup burst must warm-start");
         server.join().unwrap().unwrap();
+
+        // Through a router the warm starts happen on the shards, whose
+        // counters the router's own `stats` does not carry.
+        let shards = [
+            spawn(ServerConfig::default()).unwrap(),
+            spawn(ServerConfig::default()).unwrap(),
+        ];
+        let ropts = RouterOptions {
+            addr: "127.0.0.1:0".to_owned(),
+            shards: format!("{},{}", shards[0].addr, shards[1].addr),
+            ..RouterOptions::default()
+        };
+        let (tx, rx) = mpsc::channel();
+        let router = std::thread::spawn(move || {
+            serve_cmd_router_entry(&ropts, move |addr| tx.send(addr).unwrap())
+        });
+        let addr = rx.recv_timeout(Duration::from_secs(30)).unwrap();
+        let warm = near_dup_warm_starts(addr);
+        assert!(warm > 0, "routed near-dup burst must warm-start");
+        router.join().unwrap().unwrap();
+        for shard in shards {
+            shard.shutdown_and_join();
+        }
     }
 
     #[test]

@@ -184,11 +184,6 @@ impl RouterHandle {
             .map(|i| shards[i])
             .collect()
     }
-
-    /// All shard addresses, in ring order.
-    pub fn shard_addrs(&self) -> Vec<SocketAddr> {
-        self.shared.config.shards.clone()
-    }
 }
 
 /// A shard's raw reply line, or the transport error in its place.

@@ -1,6 +1,11 @@
 //! A small blocking client for the serve protocol — used by the CLI, the
 //! load generator and the integration tests.
 //!
+//! One [`Client`] is one connection with no reconnect: a caller whose
+//! server went away sees [`SHARD_UNAVAILABLE`] and connects again. (The
+//! router does not use this client upstream; it keeps pipelined
+//! [`crate::conn::Outbound`] connections on its poll loop.)
+//!
 //! Three request shapes are supported, matching the server's event loop:
 //! one-at-a-time ([`Client::partition`]), pipelined windows of independent
 //! requests ([`Client::partition_pipelined`] — many lines in flight, replies
@@ -28,9 +33,6 @@ pub const SHARD_UNAVAILABLE: &str = "shard_unavailable";
 pub struct Client {
     writer: TcpStream,
     reader: BufReader<TcpStream>,
-    addr: SocketAddr,
-    connect_timeout: Option<Duration>,
-    read_timeout: Duration,
 }
 
 /// True when an io error kind means the peer process is unreachable or
@@ -95,105 +97,17 @@ pub struct ReportReply {
 impl Client {
     /// Connects with a read timeout (covers slow solves; pass generously).
     pub fn connect(addr: SocketAddr, read_timeout: Duration) -> std::io::Result<Self> {
-        Self::connect_timeout(addr, None, read_timeout)
-    }
-
-    /// Connects with an optional bound on the TCP connect itself plus a
-    /// read timeout. The same bound doubles as the write timeout, so a
-    /// stalled server cannot wedge the client in `send` either.
-    pub fn connect_timeout(
-        addr: SocketAddr,
-        connect_timeout: Option<Duration>,
-        read_timeout: Duration,
-    ) -> std::io::Result<Self> {
-        let stream = match connect_timeout {
-            Some(bound) => TcpStream::connect_timeout(&addr, bound)?,
-            None => TcpStream::connect(addr)?,
-        };
+        let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(Some(read_timeout))?;
-        stream.set_write_timeout(connect_timeout)?;
         let writer = stream.try_clone()?;
-        Ok(Self {
-            writer,
-            reader: BufReader::new(stream),
-            addr,
-            connect_timeout,
-            read_timeout,
-        })
-    }
-
-    /// Connects with capped exponential backoff: `attempts` tries with
-    /// sleeps of `base`, `2·base`, `4·base`, … capped at `cap` between
-    /// them. Only refused/reset connections are retried — a daemon still
-    /// binding its port, or restarting, is exactly the case backoff is
-    /// for; anything else fails immediately. A final failure surfaces as
-    /// [`SHARD_UNAVAILABLE`].
-    pub fn connect_with_backoff(
-        addr: SocketAddr,
-        connect_timeout: Option<Duration>,
-        read_timeout: Duration,
-        attempts: u32,
-        base: Duration,
-        cap: Duration,
-    ) -> Result<Self, ProtoError> {
-        let mut delay = base;
-        let mut last: Option<std::io::Error> = None;
-        for attempt in 0..attempts.max(1) {
-            if attempt > 0 {
-                std::thread::sleep(delay);
-                delay = (delay * 2).min(cap);
-            }
-            match Self::connect_timeout(addr, connect_timeout, read_timeout) {
-                Ok(client) => return Ok(client),
-                Err(e) if is_unavailable(e.kind()) || e.kind() == ErrorKind::TimedOut => {
-                    last = Some(e);
-                }
-                Err(e) => {
-                    return Err(ProtoError::new(
-                        "internal",
-                        format!("connect to {addr} failed: {e}"),
-                    ))
-                }
-            }
-        }
-        let detail = last.map(|e| e.to_string()).unwrap_or_else(|| "unreachable".into());
-        Err(ProtoError::new(
-            SHARD_UNAVAILABLE,
-            format!("connect to {addr} failed after {} attempts: {detail}", attempts.max(1)),
-        ))
-    }
-
-    /// The address this client dials.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// Replaces the underlying connection with a fresh one to the same
-    /// address (same timeouts), with capped exponential backoff. Any
-    /// request in flight on the old connection is abandoned.
-    pub fn reconnect(
-        &mut self,
-        attempts: u32,
-        base: Duration,
-        cap: Duration,
-    ) -> Result<(), ProtoError> {
-        let fresh = Self::connect_with_backoff(
-            self.addr,
-            self.connect_timeout,
-            self.read_timeout,
-            attempts,
-            base,
-            cap,
-        )?;
-        *self = fresh;
-        Ok(())
+        Ok(Self { writer, reader: BufReader::new(stream) })
     }
 
     /// Sends one newline-terminated frame, handling short writes and
     /// interrupted syscalls explicitly — `write` may move only part of the
     /// frame when the socket buffer is tight (deep pipelining does exactly
-    /// that), and a write timeout surfaces as `WouldBlock`.
+    /// that).
     pub(crate) fn send_line(&mut self, line: &str) -> Result<(), ProtoError> {
         let mut frame = Vec::with_capacity(line.len() + 1);
         frame.extend_from_slice(line.as_bytes());
@@ -213,9 +127,6 @@ impl Client {
                 }
                 Ok(n) => written += n,
                 Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
-                    return Err(ProtoError::new("internal", "send timed out"))
-                }
                 Err(e) if is_unavailable(e.kind()) => {
                     return Err(ProtoError::new(SHARD_UNAVAILABLE, format!("send failed: {e}")))
                 }
@@ -657,9 +568,7 @@ mod tests {
     #[test]
     fn pipelined_and_batch_match_single_requests() {
         let handle = spawn(ServerConfig::default()).unwrap();
-        let mut client =
-            Client::connect_timeout(handle.addr, Some(Duration::from_secs(5)), Duration::from_secs(30))
-                .unwrap();
+        let mut client = Client::connect(handle.addr, Duration::from_secs(30)).unwrap();
         client
             .register_inline(
                 "c1",
@@ -733,29 +642,10 @@ mod tests {
 
     #[test]
     fn dead_shard_surfaces_shard_unavailable() {
-        // Bind-then-drop leaves a port with nothing listening: connect must
-        // come back refused with the distinct shard_unavailable code, and
-        // do so within a bounded number of backoff attempts.
-        let vacant = {
-            let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-            l.local_addr().unwrap()
-        };
-        let err = Client::connect_with_backoff(
-            vacant,
-            Some(Duration::from_millis(200)),
-            Duration::from_secs(1),
-            3,
-            Duration::from_millis(1),
-            Duration::from_millis(4),
-        )
-        .unwrap_err();
-        assert_eq!(err.code, SHARD_UNAVAILABLE, "{}", err.message);
-
-        // A server that dies mid-conversation surfaces the same code on
-        // the next read, and reconnect() to a live server recovers.
+        // A server that dies mid-conversation surfaces the distinct
+        // shard_unavailable code (or its drain refusal) on the next read.
         let handle = spawn(ServerConfig::default()).unwrap();
-        let addr = handle.addr;
-        let mut client = Client::connect(addr, Duration::from_secs(5)).unwrap();
+        let mut client = Client::connect(handle.addr, Duration::from_secs(5)).unwrap();
         client.ping().unwrap();
         handle.shutdown_and_join();
         let err = client.ping().unwrap_err();
@@ -765,21 +655,6 @@ mod tests {
             err.code,
             err.message
         );
-        // The old address is dead; reconnect reports shard_unavailable
-        // rather than a generic io failure.
-        let err = client
-            .reconnect(2, Duration::from_millis(1), Duration::from_millis(2))
-            .unwrap_err();
-        assert_eq!(err.code, SHARD_UNAVAILABLE);
-
-        // Against a replacement server on a fresh port, reconnect works.
-        let handle2 = spawn(ServerConfig::default()).unwrap();
-        let mut client2 = Client::connect(handle2.addr, Duration::from_secs(5)).unwrap();
-        client2.ping().unwrap();
-        client2.reconnect(3, Duration::from_millis(1), Duration::from_millis(4)).unwrap();
-        assert_eq!(client2.addr(), handle2.addr);
-        client2.ping().unwrap();
-        handle2.shutdown_and_join();
     }
 
     #[test]

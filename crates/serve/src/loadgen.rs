@@ -15,8 +15,9 @@
 //! identical across modes for a given seed, so their reports are
 //! comparable.
 //!
-//! Used by `fpm loadgen`, the `bench_serve` experiment and the CI smoke
-//! job.
+//! Used by `fpm loadgen` and the CI smoke jobs to check that serving
+//! works. Calibrated serving numbers come from the repository
+//! benchmark's `serve-hot` and `serve-churn` workloads (`benchmark/`).
 
 use std::collections::VecDeque;
 use std::fmt::Write as _;
@@ -144,19 +145,10 @@ impl SplitMix {
     }
 }
 
-/// Runs the load against an already-running server whose registry already
-/// holds `cluster`. Panics on no workers/requests (caller bug).
-pub fn run(
-    addr: SocketAddr,
-    cluster: &str,
-    config: &LoadgenConfig,
-) -> Result<LoadgenReport, crate::protocol::ProtoError> {
-    run_multi(&[addr], cluster, config)
-}
-
-/// Multi-endpoint closed loop: worker `w` connects to
-/// `addrs[w % addrs.len()]`, so the workload round-robins across every
-/// endpoint (N shards behind a router, or the router replicated). All
+/// Runs the load against already-running endpoints that each serve
+/// `cluster` (one daemon, a router, N shards behind a router, or the
+/// router replicated). Worker `w` connects to `addrs[w % addrs.len()]`,
+/// so the workload round-robins across every endpoint. All
 /// workers' latencies are pooled before the percentile pass, so the
 /// reported p50/p99 stay exact order statistics over the merged run —
 /// not an average of per-endpoint percentiles. Panics on an empty
@@ -438,24 +430,37 @@ mod tests {
         .unwrap();
     }
 
+    /// Registers the clusters the warm, pipelined and batched runs drive:
+    /// the inline 2-machine `demo` and the 12-machine Table 2 testbed,
+    /// built server-side from its spec.
+    fn register_clusters(addr: SocketAddr) -> [&'static str; 2] {
+        register_demo(addr);
+        let mut c = Client::connect(addr, Duration::from_secs(10)).unwrap();
+        let reg = c.register_testbed("table2", "table2", "mm", 0xBE9C).unwrap();
+        assert_eq!(reg.machines.len(), 12, "Table 2 testbed");
+        ["demo", "table2"]
+    }
+
     #[test]
     fn warm_run_hits_cache_heavily() {
         let handle = spawn(ServerConfig::default()).unwrap();
-        register_demo(handle.addr);
         let cfg = LoadgenConfig {
             workers: 3,
             requests_per_worker: 40,
             distinct_n: 2,
             ..LoadgenConfig::default()
         };
-        let report = run(handle.addr, "demo", &cfg).unwrap();
-        assert_eq!(report.ok, 120);
-        assert_eq!(report.other_errors, 0);
-        // At most 2 distinct keys are ever computed; everything else must
-        // be served from the cache (or coalesced onto a computing flight).
-        assert!(report.hit_rate() > 0.9, "hit rate {}", report.hit_rate());
-        assert!(report.p99_us >= report.p50_us);
-        assert!(report.throughput() > 0.0);
+        for cluster in register_clusters(handle.addr) {
+            let report = run_multi(&[handle.addr], cluster, &cfg).unwrap();
+            assert_eq!(report.ok, 120, "{cluster}: {report:?}");
+            assert_eq!(report.other_errors, 0, "{cluster}");
+            // At most 2 distinct keys are ever computed; everything else
+            // must be served from the cache (or coalesced onto a computing
+            // flight).
+            assert!(report.hit_rate() > 0.9, "{cluster} hit rate {}", report.hit_rate());
+            assert!(report.p99_us >= report.p50_us);
+            assert!(report.throughput() > 0.0);
+        }
         handle.shutdown_and_join();
     }
 
@@ -471,7 +476,7 @@ mod tests {
             near_dup: true,
             ..LoadgenConfig::default()
         };
-        let report = run(handle.addr, "demo", &cfg).unwrap();
+        let report = run_multi(&[handle.addr], "demo", &cfg).unwrap();
         assert_eq!(report.ok, 80);
         assert_eq!(report.other_errors, 0);
         let stats = handle.shutdown_and_join();
@@ -491,23 +496,25 @@ mod tests {
             ..ServerConfig::default()
         })
         .unwrap();
-        register_demo(handle.addr);
-        for mode in [LoadMode::Pipelined { depth: 8 }, LoadMode::Batch { size: 10 }] {
-            let cfg = LoadgenConfig {
-                workers: 2,
-                requests_per_worker: 50,
-                distinct_n: 4,
-                mode,
-                ..LoadgenConfig::default()
-            };
-            let report = run(handle.addr, "demo", &cfg).unwrap();
-            assert_eq!(report.ok, 100, "mode {mode:?}");
-            assert_eq!(report.other_errors, 0, "mode {mode:?}");
-            assert!(report.hit_rate() > 0.8, "mode {mode:?} hit {}", report.hit_rate());
-            assert!(report.p99_us >= report.p50_us);
+        for cluster in register_clusters(handle.addr) {
+            for mode in [LoadMode::Pipelined { depth: 8 }, LoadMode::Batch { size: 10 }] {
+                let cfg = LoadgenConfig {
+                    workers: 2,
+                    requests_per_worker: 50,
+                    distinct_n: 4,
+                    mode,
+                    ..LoadgenConfig::default()
+                };
+                let report = run_multi(&[handle.addr], cluster, &cfg).unwrap();
+                assert_eq!(report.ok, 100, "{cluster} mode {mode:?}: {report:?}");
+                assert_eq!(report.other_errors, 0, "{cluster} mode {mode:?}");
+                let hit = report.hit_rate();
+                assert!(hit > 0.9, "{cluster} mode {mode:?} hit {hit}");
+                assert!(report.p99_us >= report.p50_us);
+            }
         }
         let stats = handle.shutdown_and_join();
-        assert!(stats.get("batch_requests").and_then(Json::as_u64).unwrap_or(0) >= 10);
+        assert!(stats.get("batch_requests").and_then(Json::as_u64).unwrap_or(0) >= 20);
         assert!(stats.get("pipeline_depth_peak").and_then(Json::as_u64).unwrap_or(0) >= 2);
     }
 
