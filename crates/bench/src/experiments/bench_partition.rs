@@ -35,10 +35,9 @@ use fpm_serve::json::Json;
 use super::fig21::synthetic_cluster;
 use crate::report::{fnum, write_bench_json, Report};
 
-/// A view of a model that hides its closed-form intersection and batched
-/// evaluation overrides, reproducing the seed's probe behaviour: every
-/// intersection found by exponential bracketing + bisection, every speed
-/// evaluated point-wise.
+/// A view of a model that hides its closed-form intersection and its speed
+/// knots, reproducing the seed's probe behaviour: every intersection found
+/// by exponential bracketing + bisection.
 struct SeedView<'a>(&'a PiecewiseLinearSpeed);
 
 impl SpeedFunction for SeedView<'_> {

@@ -144,6 +144,10 @@ impl<F: CostFunction + ?Sized> CostFunction for CachedCost<'_, F> {
     fn has_closed_form(&self) -> bool {
         self.inner.has_closed_form()
     }
+
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        self.inner.speed_knots()
+    }
 }
 
 #[cfg(test)]

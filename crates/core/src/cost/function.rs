@@ -82,8 +82,11 @@ pub trait CostFunction {
     ///   [`PiecewiseLinearSpeed`](crate::speed::PiecewiseLinearSpeed) and
     ///   [`ScaledSpeed`](crate::speed::ScaledSpeed) over either;
     /// * [`SortCost`](crate::cost::SortCost) and
-    ///   [`QueryCost`](crate::cost::QueryCost) over a base that answers,
-    ///   by a few closed-form inversions of that base;
+    ///   [`QueryCost`](crate::cost::QueryCost) over a base that answers:
+    ///   over a base with [`speed_knots`](Self::speed_knots), by one knot
+    ///   search and a few Newton steps inside the segment that holds the
+    ///   crossing; over any other base, by a few closed-form inversions of
+    ///   that base;
     /// * the forwarding wrappers ([`CachedCost`](crate::cost::CachedCost)
     ///   and the erased references) over a model that answers.
     ///
@@ -111,6 +114,21 @@ pub trait CostFunction {
     fn has_closed_form(&self) -> bool {
         self.intersect_slope(1.0).is_some()
     }
+
+    /// The `(size, speed)` knots of a piece-wise linear speed model, if
+    /// this is one; see
+    /// [`SpeedFunction::speed_knots`](crate::speed::SpeedFunction::speed_knots)
+    /// for the contract.
+    ///
+    /// The blanket adapter, the erased references and
+    /// [`CachedCost`](crate::cost::CachedCost) forward it, so a
+    /// [`PiecewiseLinearSpeed`](crate::speed::PiecewiseLinearSpeed) shows
+    /// its knots through them. Every other model keeps the default `None`:
+    /// [`PiecewiseLinearCost`](crate::cost::PiecewiseLinearCost) holds
+    /// time knots, and the sort and query transforms change the curve.
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        None
+    }
 }
 
 /// Every speed function is a cost function with `time(x) = x / speed(x)`.
@@ -123,7 +141,8 @@ pub trait CostFunction {
 /// * `rate(x)` (the default `throughput(x) / x`) is therefore the
 ///   literal `speed(x) / x` every legacy call site computed;
 /// * `time` and `intersect_slope` forward to the speed-domain
-///   implementations, preserving closed forms and guards.
+///   implementations, preserving closed forms and guards, and
+///   `speed_knots` forwards too.
 impl<F: SpeedFunction + ?Sized> CostFunction for F {
     fn time(&self, x: f64) -> f64 {
         SpeedFunction::time(self, x)
@@ -139,6 +158,10 @@ impl<F: SpeedFunction + ?Sized> CostFunction for F {
 
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         SpeedFunction::intersect_slope(self, slope)
+    }
+
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        SpeedFunction::speed_knots(self)
     }
 }
 
@@ -171,6 +194,10 @@ impl<'a> CostFunction for &'a (dyn CostFunction + 'a) {
     fn has_closed_form(&self) -> bool {
         (**self).has_closed_form()
     }
+
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        (**self).speed_knots()
+    }
 }
 
 /// Same forwarding for the thread-safe erased form used by the serving
@@ -198,6 +225,10 @@ impl<'a> CostFunction for &'a (dyn CostFunction + Send + Sync + 'a) {
 
     fn has_closed_form(&self) -> bool {
         (**self).has_closed_form()
+    }
+
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        (**self).speed_knots()
     }
 }
 
@@ -269,6 +300,27 @@ mod tests {
         let f = ConstantSpeed::new(250.0);
         let x = CostFunction::intersect_slope(&f, 0.5).expect("constant speed has a closed form");
         assert_eq!(x.to_bits(), (250.0f64 / 0.5).to_bits());
+    }
+
+    #[test]
+    fn speed_knots_reach_every_forwarding_view() {
+        use crate::cost::CachedCost;
+        use crate::speed::{PiecewiseLinearSpeed, ScaledSpeed};
+        use std::sync::Arc;
+        let model = PiecewiseLinearSpeed::new(vec![(10.0, 100.0), (1000.0, 50.0)]).unwrap();
+        let knots = Some(model.knots());
+        let erased: &dyn CostFunction = &model;
+        let shared: Arc<dyn CostFunction + Send + Sync> = Arc::new(model.clone());
+        let boxed: Box<dyn SpeedFunction> = Box::new(model.clone());
+        assert_eq!(CostFunction::speed_knots(&model), knots);
+        assert_eq!(CostFunction::speed_knots(&erased), knots);
+        assert_eq!(CostFunction::speed_knots(&&*shared), knots);
+        assert_eq!(CostFunction::speed_knots(&boxed), knots);
+        assert_eq!(CachedCost::new(&model).speed_knots(), knots);
+        // A wrapper that changes speeds must not show its inner knots.
+        let scaled = ScaledSpeed::new(model.clone(), 2.0);
+        assert_eq!(CostFunction::speed_knots(&scaled), None);
+        assert_eq!(CostFunction::speed_knots(&ConstantSpeed::new(1.0)), None);
     }
 
     #[test]

@@ -170,12 +170,17 @@ impl CostFunction for PiecewiseLinearCost {
 #[derive(Debug)]
 pub struct SortCost<'a, F: ?Sized> {
     inner: &'a F,
+    segments: Segments,
 }
 
 impl<'a, F: CostFunction + ?Sized> SortCost<'a, F> {
     /// Wraps `inner` with the `x·log₂ x` comparison factor.
+    ///
+    /// Over a base with [`speed_knots`](CostFunction::speed_knots) this
+    /// tabulates the transformed work at every knot, once, for
+    /// [`intersect_slope`](CostFunction::intersect_slope).
     pub fn new(inner: &'a F) -> Self {
-        Self { inner }
+        Self { inner, segments: Segments::new(inner, SORT_FLAT_TO, sort_work) }
     }
 
     /// The elementwise base model.
@@ -196,17 +201,22 @@ impl<F: CostFunction + ?Sized> CostFunction for SortCost<'_, F> {
         self.inner.max_size()
     }
 
-    /// The root of `base_time(x)·log₂ x = 1/slope`, found as the fixed
-    /// point of `x = base⁻¹(1/(slope·log₂ x))` in a few closed-form
-    /// inversions of the base model; `None` when the base has no closed
-    /// form.
+    /// The root of `base_time(x)·log₂ x = 1/slope`. Over a base with
+    /// [`speed_knots`](CostFunction::speed_knots) it takes one search over
+    /// the knots and a few Newton steps inside the segment that holds it;
+    /// over any other base it is the fixed point of
+    /// `x = base⁻¹(1/(slope·log₂ x))`, found in a few closed-form inversions
+    /// of the base model. `None` when the base has no closed form.
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
+        if self.segments.is_tabulated() {
+            return self.segments.intersect(self.inner, slope, sort_work);
+        }
         // φ = log₂ x above two elements, with d ln φ / d ln x = 1 / ln x.
         let factor = |u: f64| {
             let phi = u * std::f64::consts::LOG2_E;
             Factor { phi, ln_phi: phi.ln(), elasticity: u.recip() }
         };
-        invert_through_base(self.inner, slope, 2.0, factor, |x| self.rate(x))
+        invert_through_base(self.inner, slope, SORT_FLAT_TO, factor, |x| self.rate(x))
     }
 
     fn has_closed_form(&self) -> bool {
@@ -225,10 +235,15 @@ impl<F: CostFunction + ?Sized> CostFunction for SortCost<'_, F> {
 pub struct QueryCost<'a, F: ?Sized> {
     inner: &'a F,
     gamma: f64,
+    segments: Segments,
 }
 
 impl<'a, F: CostFunction + ?Sized> QueryCost<'a, F> {
     /// Wraps `inner` with the `x^γ` superlinearity factor.
+    ///
+    /// Over a base with [`speed_knots`](CostFunction::speed_knots) this
+    /// tabulates the transformed work at every knot, once, for
+    /// [`intersect_slope`](CostFunction::intersect_slope).
     ///
     /// # Panics
     ///
@@ -239,7 +254,8 @@ impl<'a, F: CostFunction + ?Sized> QueryCost<'a, F> {
             gamma.is_finite() && gamma >= 0.0,
             "query cost exponent must be finite and non-negative"
         );
-        Self { inner, gamma }
+        let segments = Segments::new(inner, query_flat_to(gamma), query_work(gamma));
+        Self { inner, gamma, segments }
     }
 
     /// The elementwise base model.
@@ -265,18 +281,24 @@ impl<F: CostFunction + ?Sized> CostFunction for QueryCost<'_, F> {
         self.inner.max_size()
     }
 
-    /// The root of `base_time(x)·x^γ = 1/slope`, found as the fixed point
-    /// of `x = base⁻¹(1/(slope·x^γ))` in a few closed-form inversions of
-    /// the base model; `None` when the base has no closed form. At γ = 0
+    /// The root of `base_time(x)·x^γ = 1/slope`. Over a base with
+    /// [`speed_knots`](CostFunction::speed_knots) it takes one search over
+    /// the knots and a few Newton steps inside the segment that holds it;
+    /// over any other base it is the fixed point of
+    /// `x = base⁻¹(1/(slope·x^γ))`, found in a few closed-form inversions of
+    /// the base model. `None` when the base has no closed form. At γ = 0
     /// this is the base's answer bit for bit.
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
+        if self.segments.is_tabulated() {
+            return self.segments.intersect(self.inner, slope, query_work(self.gamma));
+        }
         // φ = x^γ above one element (nowhere for γ = 0), with
         // d ln φ / d ln x = γ.
-        let flat_to = if self.gamma == 0.0 { f64::INFINITY } else { 1.0 };
         let factor = |u: f64| {
             let ln_phi = self.gamma * u;
             Factor { phi: ln_phi.exp(), ln_phi, elasticity: self.gamma }
         };
+        let flat_to = query_flat_to(self.gamma);
         invert_through_base(self.inner, slope, flat_to, factor, |x| self.rate(x))
     }
 
@@ -285,14 +307,186 @@ impl<F: CostFunction + ?Sized> CostFunction for QueryCost<'_, F> {
     }
 }
 
-/// Residual at which [`invert_through_base`] stops: the transformed time of
-/// the returned abscissa is within this relative distance of `1/slope`.
+/// Where the sort factor `log₂ max(x, 2)` stops being 1.
+const SORT_FLAT_TO: f64 = 2.0;
+
+/// `x·log₂ x` and its derivative, for `x ≥ 2`.
+fn sort_work(x: f64) -> (f64, f64) {
+    let log = x.log2();
+    (x * log, log + std::f64::consts::LOG2_E)
+}
+
+/// Where the query factor `max(x, 1)^γ` stops being 1: nowhere for γ = 0.
+fn query_flat_to(gamma: f64) -> f64 {
+    if gamma == 0.0 {
+        f64::INFINITY
+    } else {
+        1.0
+    }
+}
+
+/// `x·x^γ` and its derivative, for `x ≥ 1`.
+///
+/// At γ = ½, the registry's `query` exponent, `x^γ` is taken as `sqrt(x)`,
+/// which costs a fraction of `powf` and is within an ulp of it; the
+/// search only needs its root to `10⁻¹²`.
+fn query_work(gamma: f64) -> impl Fn(f64) -> (f64, f64) {
+    move |x| {
+        let phi = if gamma == 0.5 { x.sqrt() } else { x.powf(gamma) };
+        (x * phi, (1.0 + gamma) * phi)
+    }
+}
+
+/// Residual at which the transform intersections stop: the transformed
+/// time of the returned abscissa is within this relative distance of
+/// `1/slope`.
 const INVERSION_TOL: f64 = 1e-12;
 
-/// Iteration cap of [`invert_through_base`]. Newton steps converge in a
-/// handful of base inversions; the cap only bounds the bisection fallback,
-/// which reaches float resolution in the log-size bracket well before it.
+/// Iteration cap of the transform intersections. Newton steps converge in a
+/// handful of evaluations; the cap only bounds the bisection fallback,
+/// which reaches float resolution in its bracket well before it.
 const INVERSION_MAX_STEPS: usize = 128;
+
+/// One row of a transform's segment table: an abscissa, the base speed
+/// there and the transformed work `x·φ(x)` there, so that the transformed
+/// time is `work/speed`.
+#[derive(Debug, Clone, Copy)]
+struct Row {
+    x: f64,
+    speed: f64,
+    work: f64,
+}
+
+/// The segment table of a transform `time(x) = base_time(x)·φ(x)` over a
+/// base with [`speed_knots`](CostFunction::speed_knots), where the base
+/// speed `s` is linear between neighbouring rows. Empty for every other
+/// base, and when φ = 1 on the whole modelled domain.
+///
+/// The first row is φ's flat point (`x = 2` for sort, `x = 1` for query),
+/// the others are the knots above it. Tabulating `x_k·φ(x_k)` costs one φ
+/// evaluation per knot, once per transform instance, which is once per
+/// machine per solve.
+///
+/// # Search
+///
+/// The root of `time(x) = t`, `t = 1/slope`, is the root of
+/// `g(x) = x·φ(x) − t·s(x)`, which has the sign of `time(x) − t` wherever
+/// `s > 0`. `time` increases, so one `partition_point` over the rows'
+/// `g_k` finds the segment that holds the root; a zero-speed last knot
+/// has `g_k = x_k·φ(x_k) > 0`, an infinite time. Inside the segment
+/// `s(x) = α + β·x`, and `g` is convex, because `x·φ(x)` is. The root is
+/// found by safeguarded Newton steps on `g`, bracketed by the segment's
+/// ends and started at the regula-falsi point of the ends, which convexity
+/// puts at or left of the root. A step that leaves the bracket bisects it.
+/// Each step costs one φ evaluation. The search stops once
+/// `|g(x)/(t·s(x))|`, the relative error of `time(x)`, is within `10⁻¹²`;
+/// a segment end that already is, such as a knot whose own time is `t`,
+/// is returned without a step.
+///
+/// # Clamping
+///
+/// Mirrors [`invert_through_base`]:
+///
+/// * where the root lies at or below the flat point, where φ = 1, the
+///   base's own answer is returned bit for bit;
+/// * the last knot, which is `max_size`, is returned when the transformed
+///   time there is still below `1/slope`;
+/// * a slope the base rejects is rejected.
+#[derive(Debug)]
+struct Segments(Vec<Row>);
+
+impl Segments {
+    /// Tabulates `x·φ(x)`, the first half of `work(x)`, at φ's flat point
+    /// `flat_to` and at every speed knot of `base` above it.
+    fn new<F: CostFunction + ?Sized>(
+        base: &F,
+        flat_to: f64,
+        work: impl Fn(f64) -> (f64, f64),
+    ) -> Self {
+        let Some(knots) = base.speed_knots() else {
+            return Self(Vec::new());
+        };
+        let k = knots.partition_point(|&(x, _)| x <= flat_to);
+        if k == knots.len() {
+            return Self(Vec::new());
+        }
+        // The base speed at the flat point, as the base interpolates it.
+        let speed = match k {
+            0 => knots[0].1,
+            _ => {
+                let ((xa, sa), (xb, sb)) = (knots[k - 1], knots[k]);
+                sa + (flat_to - xa) / (xb - xa) * (sb - sa)
+            }
+        };
+        let mut rows = Vec::with_capacity(knots.len() - k + 1);
+        rows.push(Row { x: flat_to, speed, work: work(flat_to).0 });
+        rows.extend(knots[k..].iter().map(|&(x, speed)| Row { x, speed, work: work(x).0 }));
+        Self(rows)
+    }
+
+    fn is_tabulated(&self) -> bool {
+        !self.0.is_empty()
+    }
+
+    /// The root of `time(x) = 1/slope` (see [`Segments`]); `work(x)` is
+    /// `(x·φ(x), d(x·φ(x))/dx)` above the flat point.
+    fn intersect<F: CostFunction + ?Sized>(
+        &self,
+        base: &F,
+        slope: f64,
+        work: impl Fn(f64) -> (f64, f64),
+    ) -> Option<f64> {
+        let rows = &self.0;
+        let t = 1.0 / slope;
+        let g = |r: &Row| r.work - t * r.speed;
+        // Also 0 for a NaN, infinite or non-positive slope, which the base
+        // then rejects.
+        let k = rows.partition_point(|r| g(r) < 0.0);
+        if k == 0 {
+            return base.intersect_slope(slope).filter(|x| (0.0..=f64::MAX).contains(x));
+        }
+        let Some(&b) = rows.get(k) else {
+            return Some(rows[rows.len() - 1].x);
+        };
+        let a = rows[k - 1];
+        let (g_a, g_b) = (g(&a), g(&b));
+        for (end, g_end) in [(a, g_a), (b, g_b)] {
+            if g_end.abs() <= INVERSION_TOL * t * end.speed {
+                return Some(end.x);
+            }
+        }
+        let beta = (b.speed - a.speed) / (b.x - a.x);
+        let (mut lo, mut hi) = (a.x, b.x);
+        let mut x = lo + (hi - lo) * (g_a / (g_a - g_b));
+        // The candidate with the smallest residual so far.
+        let mut best = (f64::INFINITY, None);
+        for _ in 0..INVERSION_MAX_STEPS {
+            if !(x > lo && x < hi) {
+                x = 0.5 * (lo + hi);
+                if !(x > lo && x < hi) {
+                    break; // float resolution
+                }
+            }
+            let (w, dw) = work(x);
+            let t_s = t * (a.speed + beta * (x - a.x));
+            let g_x = w - t_s;
+            let residual = (g_x / t_s).abs();
+            if residual <= INVERSION_TOL {
+                return Some(x);
+            }
+            if residual < best.0 {
+                best = (residual, Some(x));
+            }
+            if g_x < 0.0 {
+                lo = x;
+            } else {
+                hi = x;
+            }
+            x -= g_x / (dw - t * beta);
+        }
+        best.1
+    }
+}
 
 /// A workload factor φ of a cost transform `time(x) = base_time(x)·φ(x)`,
 /// evaluated at `u = ln x`.
@@ -308,6 +502,11 @@ struct Factor {
 /// `time(x) = base_time(x)·φ(x)` with the origin line of `slope`, i.e.
 /// the root of `time(x) = 1/slope`, computed from closed-form inversions
 /// of the base model alone.
+///
+/// The transforms use it over bases without speed knots (constant speeds,
+/// scaled speeds, measured cost knots, opaque wrappers). Over speed knots
+/// [`Segments`] is cheaper; the closed-form differential keeps this path as
+/// its reference through a view that hides the knots.
 ///
 /// The factor φ is 1 on `x ≤ flat_to` and strictly increasing above it,
 /// where `factor(ln x)` evaluates it; `rate` is the transform's own
@@ -516,21 +715,47 @@ mod tests {
         .unwrap()
     }
 
+    /// Speed knots from below φ's flat point (x₀ ≤ 1), with rising-speed
+    /// segments and a zero-speed last knot.
+    fn low_knots() -> PiecewiseLinearSpeed {
+        PiecewiseLinearSpeed::new(vec![
+            (0.5, 40.0),
+            (2.0, 60.0),
+            (1e3, 200.0),
+            (1e5, 150.0),
+            (1e6, 0.0),
+        ])
+        .unwrap()
+    }
+
+    /// Speed knots starting at query's flat point, rising, and still
+    /// running at the last knot, so the transforms can clamp there.
+    fn rising_knots() -> PiecewiseLinearSpeed {
+        PiecewiseLinearSpeed::new(vec![(1.0, 50.0), (1e4, 80.0), (1e6, 30.0)]).unwrap()
+    }
+
     /// Closed-form bases of each kind the transforms invert through.
     fn with_closed_form_bases(check: impl Fn(&str, &dyn CostFunction)) {
         check("paging knots", &paging_knots());
+        check("low knots", &low_knots());
+        check("rising knots", &rising_knots());
         check("constant speed", &ConstantSpeed::new(250.0));
         check("cost knots", &measured());
     }
 
     /// `time(intersect_slope(1/t)) = t` to the inversion tolerance, over a
-    /// log grid of abscissas inside the domain where φ > 1.
-    fn assert_round_trips(name: &str, f: &dyn CostFunction, from: f64) {
+    /// log grid of abscissas inside the domain where φ > 1 and at every
+    /// knot of `knots` there, where the root is the knot itself.
+    fn assert_round_trips(name: &str, f: &dyn CostFunction, from: f64, knots: &[(f64, f64)]) {
         let to = f.max_size().min(1e12) * 0.999;
         let steps = 120;
-        for k in 0..=steps {
-            let x = from * (to / from).powf(k as f64 / steps as f64);
+        let grid = (0..=steps).map(|k| from * (to / from).powf(k as f64 / steps as f64));
+        let at_knots = knots.iter().map(|&(x, _)| x).filter(|&x| x >= from);
+        for x in grid.chain(at_knots) {
             let t = f.time(x);
+            if !t.is_finite() {
+                continue; // a zero-speed knot
+            }
             let back = f.intersect_slope(1.0 / t).expect("closed-form base");
             let rel = (f.time(back) / t - 1.0).abs();
             assert!(rel <= 1e-11, "{name}: x = {x}, back = {back}, time off by {rel:e}");
@@ -541,9 +766,10 @@ mod tests {
     #[test]
     fn transforms_invert_their_time_in_closed_form() {
         with_closed_form_bases(|name, base| {
-            assert_round_trips(name, &SortCost::new(base), 2.5);
+            let knots = base.speed_knots().unwrap_or_default();
+            assert_round_trips(name, &SortCost::new(base), 2.5, knots);
             for gamma in [0.25, DEFAULT_QUERY_GAMMA, 1.0] {
-                assert_round_trips(name, &QueryCost::new(base, gamma), 1.5);
+                assert_round_trips(name, &QueryCost::new(base, gamma), 1.5, knots);
             }
         });
     }
@@ -577,11 +803,17 @@ mod tests {
 
     #[test]
     fn transforms_clamp_to_max_size_past_the_modelled_domain() {
-        let base = measured();
+        let (cost_knots, speed_knots) = (measured(), rising_knots());
+        for base in [&cost_knots as &dyn CostFunction, &speed_knots] {
+            clamps_to_max_size(base);
+        }
+    }
+
+    fn clamps_to_max_size(base: &dyn CostFunction) {
         let max = base.max_size();
         for f in [
-            &SortCost::new(&base) as &dyn CostFunction,
-            &QueryCost::new(&base, DEFAULT_QUERY_GAMMA),
+            &SortCost::new(base) as &dyn CostFunction,
+            &QueryCost::new(base, DEFAULT_QUERY_GAMMA),
         ] {
             let at_max = f.time(max);
             // Still below 1/slope at max_size: clamp, like the numeric path.

@@ -69,6 +69,26 @@ pub trait SpeedFunction {
         let _ = slope;
         None
     }
+
+    /// The `(size, speed)` knots this model interpolates, if it is one.
+    ///
+    /// Only a model whose [`speed`](Self::speed) is *exactly* the clamped
+    /// linear interpolation of the returned knots may return them: `s_0`
+    /// below the first knot, linear between neighbours, the last knot's
+    /// speed above it, and [`max_size`](Self::max_size) at the last knot's
+    /// abscissa. The knots must be ones
+    /// [`PiecewiseLinearSpeed::new`](crate::speed::PiecewiseLinearSpeed::new)
+    /// accepts. The sort and query cost transforms solve their
+    /// intersections segment by segment over them
+    /// ([`CostFunction::speed_knots`](crate::cost::CostFunction::speed_knots)).
+    ///
+    /// [`PiecewiseLinearSpeed`](crate::speed::PiecewiseLinearSpeed)
+    /// returns its knots, and references, boxes and `Arc`s forward. The
+    /// default is `None`; a wrapper that changes speeds, such as
+    /// [`ScaledSpeed`], must keep it.
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        None
+    }
 }
 
 impl<T: SpeedFunction + ?Sized> SpeedFunction for &T {
@@ -83,6 +103,9 @@ impl<T: SpeedFunction + ?Sized> SpeedFunction for &T {
     }
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
+    }
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        (**self).speed_knots()
     }
 }
 
@@ -99,6 +122,9 @@ impl<T: SpeedFunction + ?Sized> SpeedFunction for Box<T> {
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
     }
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        (**self).speed_knots()
+    }
 }
 
 impl<T: SpeedFunction + ?Sized> SpeedFunction for std::sync::Arc<T> {
@@ -113,6 +139,9 @@ impl<T: SpeedFunction + ?Sized> SpeedFunction for std::sync::Arc<T> {
     }
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
+    }
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        (**self).speed_knots()
     }
 }
 

@@ -175,15 +175,26 @@ impl SpeedFunction for PiecewiseLinearSpeed {
         }
         // Binary search the knots for the first k with g_k ≤ slope; the
         // crossing lies on the segment (k-1, k). d_k = s_k − slope·x_k
-        // shares the sign of g_k − slope.
+        // shares the sign of g_k − slope. The tests above divide where this
+        // one multiplies, so within rounding of an end knot's own slope they
+        // can disagree; the crossing is then that knot's clamp answer.
         let k = pts.partition_point(|&(xk, sk)| sk - slope * xk > 0.0);
-        debug_assert!(k >= 1 && k < pts.len());
+        if k == 0 {
+            return Some(s0 / slope);
+        }
+        if k == pts.len() {
+            return Some(x_last);
+        }
         let (xa, sa) = pts[k - 1];
         let (xb, sb) = pts[k];
         let da = sa - slope * xa; // > 0
         let db = sb - slope * xb; // ≤ 0
         let t = da / (da - db);
         Some(xa + t * (xb - xa))
+    }
+
+    fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+        Some(&self.points)
     }
 }
 
@@ -261,6 +272,26 @@ mod tests {
         .unwrap();
         assert_eq!(f.len(), 3);
         assert!((f.speed(100.0) - 200.0).abs() < 1e-9, "duplicates averaged");
+    }
+
+    #[test]
+    fn slopes_within_rounding_of_an_end_knot_clamp_there() {
+        let f = PiecewiseLinearSpeed::new(vec![
+            (0.44738391833253743, 94.82885455442398),
+            (69.37145658468398, 133.17937969661835),
+            (1863.4584089134073, 94.78684491901093),
+            (148726.1256671814, 1e-3),
+        ])
+        .unwrap();
+        let (first, last) = (f.knots()[0], f.knots()[3]);
+        for (x, s) in [first, last] {
+            let g = s / x;
+            for ulps in -4i64..=4 {
+                let slope = f64::from_bits(g.to_bits().wrapping_add_signed(ulps));
+                let at = f.intersect_slope(slope).unwrap();
+                assert!((at - x).abs() <= 1e-12 * x, "slope {slope:e}: {at} vs knot {x}");
+            }
+        }
     }
 
     #[test]

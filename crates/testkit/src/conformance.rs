@@ -475,11 +475,47 @@ impl CostFunction for NumericOnly<'_> {
     }
 }
 
+/// A cost model view that forwards everything but
+/// [`CostFunction::speed_knots`], so a sort or query transform over it
+/// intersects by closed-form inversions of the base, never segment by
+/// segment over its knots. This is the path the segment search replaced
+/// for piece-wise speed models, kept as its differential reference
+/// ([`check_closed_form`]).
+pub struct WithoutKnots<'a>(pub &'a dyn CostFunction);
+
+impl CostFunction for WithoutKnots<'_> {
+    fn time(&self, x: f64) -> f64 {
+        self.0.time(x)
+    }
+
+    fn max_size(&self) -> f64 {
+        self.0.max_size()
+    }
+
+    fn throughput(&self, x: f64) -> f64 {
+        self.0.throughput(x)
+    }
+
+    fn rate(&self, x: f64) -> f64 {
+        self.0.rate(x)
+    }
+
+    fn intersect_slope(&self, slope: f64) -> Option<f64> {
+        self.0.intersect_slope(slope)
+    }
+
+    fn has_closed_form(&self) -> bool {
+        self.0.has_closed_form()
+    }
+}
+
 /// Differentially pins the closed-form intersections of the sort and
 /// query transforms on one cluster: for each nonlinear registry entry, a
 /// cold solve and warm [`resolve_from`] solves at `|Δn|/n ≤ 1e-3` must be
-/// **bit-identical** — equal counts and equal makespan bits — to the same
-/// solves over the cluster wrapped in [`NumericOnly`].
+/// **bit-identical** — equal counts and equal makespan bits — on three
+/// paths: over the cluster as given (the segment search where a machine
+/// has speed knots), over it wrapped in [`WithoutKnots`] (inversions of
+/// the base) and over it wrapped in [`NumericOnly`] (the numeric search).
 ///
 /// The cost-domain oracle intersects through the same closed forms, so
 /// [`check_cost_case`] alone cannot catch a wrong one; this check can.
@@ -492,29 +528,38 @@ pub fn check_closed_form(
     funcs: &[&dyn CostFunction],
 ) -> Vec<CaseFailure> {
     let numeric: Vec<NumericOnly<'_>> = funcs.iter().map(|&f| NumericOnly(f)).collect();
-    let numeric = erase(&numeric);
+    let inverting: Vec<WithoutKnots<'_>> = funcs.iter().map(|&f| WithoutKnots(f)).collect();
+    let references = [("numeric search", erase(&numeric)), ("base inversion", erase(&inverting))];
     let mut failures = Vec::new();
-    let mut diverged = |algorithm: &'static str, what: String| {
+    let mut diverged = |algorithm: &'static str, reference: &str, what: String| {
         failures.push(CaseFailure {
             seed,
             algorithm,
             descriptor: descriptor.to_string(),
-            message: format!("closed form and numeric search diverged on the {what}"),
+            message: format!("closed form and {reference} diverged on the {what}"),
         })
     };
     for info in registry().iter().filter(|i| i.cost.nonlinear()) {
         let id = info.id_with(1.0);
         let cold = id.solve(n, funcs);
-        if let Some(m) = plan_mismatch(&cold, &id.solve(n, &numeric)) {
-            diverged(info.name, format!("cold solve at n={n}: {m}"));
+        for (reference, refs) in &references {
+            if let Some(m) = plan_mismatch(&cold, &id.solve(n, refs)) {
+                diverged(info.name, reference, format!("cold solve at n={n}: {m}"));
+            }
         }
         let Ok(donor) = cold else { continue };
         let donor = donor.distribution.counts();
         let delta = n / 1000;
         for m in [n + delta, n - delta, n + delta / 3] {
             let warm = id.resolve_from(donor, m, funcs);
-            if let Some(e) = plan_mismatch(&warm, &id.resolve_from(donor, m, &numeric)) {
-                diverged(info.name, format!("warm solve at n={m} (donor n={n}): {e}"));
+            for (reference, refs) in &references {
+                if let Some(e) = plan_mismatch(&warm, &id.resolve_from(donor, m, refs)) {
+                    diverged(
+                        info.name,
+                        reference,
+                        format!("warm solve at n={m} (donor n={n}): {e}"),
+                    );
+                }
             }
         }
     }
@@ -787,6 +832,48 @@ mod tests {
                 && failures.iter().any(|f| f.algorithm == "query"),
             "{failures:?}"
         );
+
+        // A piece-wise model whose knots sit 1 % right of its own: the
+        // segment search must diverge from both references. (Knots that
+        // scale every speed alike would only rescale the slope.)
+        struct StretchedKnots(PiecewiseLinearSpeed, Vec<(f64, f64)>);
+        impl CostFunction for StretchedKnots {
+            fn time(&self, x: f64) -> f64 {
+                CostFunction::time(&self.0, x)
+            }
+            fn max_size(&self) -> f64 {
+                CostFunction::max_size(&self.0)
+            }
+            fn throughput(&self, x: f64) -> f64 {
+                CostFunction::throughput(&self.0, x)
+            }
+            fn intersect_slope(&self, slope: f64) -> Option<f64> {
+                CostFunction::intersect_slope(&self.0, slope)
+            }
+            fn speed_knots(&self) -> Option<&[(f64, f64)]> {
+                Some(&self.1)
+            }
+        }
+        let stretched: Vec<StretchedKnots> = wire
+            .build()
+            .into_iter()
+            .map(|m| {
+                let knots = m.knots().iter().map(|&(x, s)| (x * 1.01, s)).collect();
+                StretchedKnots(m, knots)
+            })
+            .collect();
+        let failures =
+            check_closed_form(0xC105_EDF1, "stretched knots", wire.n, &erase(&stretched));
+        for algorithm in ["sort-sample", "query"] {
+            for reference in ["numeric search", "base inversion"] {
+                assert!(
+                    failures
+                        .iter()
+                        .any(|f| f.algorithm == algorithm && f.message.contains(reference)),
+                    "{algorithm} vs {reference}: {failures:?}"
+                );
+            }
+        }
     }
 
     #[test]

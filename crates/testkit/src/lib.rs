@@ -55,7 +55,7 @@ pub use conformance::{
     check_case, check_closed_form, check_seeded_cold, check_warm_start, env_base_seed, env_cases,
     env_drift_cases, run_closed_form_sweep, run_conformance, run_seeded_cold_sweep,
     run_warm_start_sweep, CaseFailure, ConformanceConfig, ConformanceReport, NumericOnly,
-    Tolerances,
+    Tolerances, WithoutKnots,
 };
 pub use fault::{assert_no_panic, FaultKind, FaultyMeasurer};
 pub use gen::{CaseSpec, DriftScenario, GenConfig, ModelKind, WireCluster};
