@@ -28,27 +28,5 @@ fn bench_partition_cost(c: &mut Criterion) {
     group.finish();
 }
 
-/// Ablation of the per-run evaluation cache: the same fig21 workload with
-/// memoized speed probes (the default) against raw re-evaluation. It runs
-/// the paper-literal strategy, because the default solve's seeded search
-/// skips the memo on closed-form models such as these.
-fn bench_eval_cache(c: &mut Criterion) {
-    let mut group = c.benchmark_group("fig21_eval_cache");
-    group.sample_size(20);
-    let p = 1080usize;
-    let funcs = synthetic_cluster(p);
-    let n = 2_000_000_000u64;
-    for (label, cached) in [("cached", true), ("uncached", false)] {
-        group.bench_with_input(BenchmarkId::new(label, n), &n, |bench, &n| {
-            let partitioner = CombinedPartitioner::new().with_eval_cache(cached);
-            bench.iter(|| {
-                let (r, _) = partitioner.partition_explain(black_box(n), &funcs).unwrap();
-                black_box(r.distribution.total())
-            })
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_partition_cost, bench_eval_cache);
+criterion_group!(benches, bench_partition_cost);
 criterion_main!(benches);

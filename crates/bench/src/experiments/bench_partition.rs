@@ -6,9 +6,8 @@
 //!
 //! * `CombinedPartitioner::partition` on the fig21 synthetic cluster at
 //!   `p = 1080`, `n = 2·10⁹`, against the paper-literal Fig. 15 strategy
-//!   (`partition_explain`) with and without its per-run evaluation cache
-//!   and closed-form intersections (the uncached numeric path is the seed
-//!   behaviour);
+//!   (`partition_explain`) with and without closed-form intersections (the
+//!   numeric path is the seed behaviour);
 //! * whole-cluster model building (paper §3.1) on the Table 2 testbed,
 //!   pooled vs sequential;
 //! * the packed `matmul_abt_blocked` kernel vs the seed's plain tiled
@@ -60,15 +59,14 @@ pub const BENCH_MM_N: usize = 512;
 #[derive(Debug, Clone, Copy)]
 pub struct BenchPartitionResults {
     /// `partition(n, funcs)` with every optimisation on (the default):
-    /// the search seeded from the single-number line, closed-form
-    /// intersections, and the evaluation cache where models lack them.
+    /// the search seeded from the single-number line and closed-form
+    /// intersections.
     pub partition_optimized_ns: u128,
     /// The paper-literal Fig. 15 strategy (`partition_explain`) from the
-    /// Fig. 18 initial lines, with closed-form intersections and the
-    /// evaluation cache.
+    /// Fig. 18 initial lines, with closed-form intersections.
     pub partition_paper_ns: u128,
     /// The seed behaviour: the paper-literal strategy with numeric
-    /// bracketing + bisection per intersection, no cache (see `SeedView`).
+    /// bracketing + bisection per intersection (see `SeedView`).
     pub partition_seed_ns: u128,
     /// Cold solve of the near-duplicate size (`BENCH_N + BENCH_N/1000`):
     /// the search seeded from the single-number line at `n/p`.
@@ -115,7 +113,6 @@ pub fn measure() -> BenchPartitionResults {
     let funcs = synthetic_cluster(BENCH_P);
     let seed_views: Vec<SeedView<'_>> = funcs.iter().map(SeedView).collect();
     let optimized = CombinedPartitioner::new();
-    let seed = CombinedPartitioner::new().with_eval_cache(false);
     let run_optimized = || {
         let r = optimized.partition(BENCH_N, &funcs).unwrap();
         assert_eq!(r.distribution.total(), BENCH_N);
@@ -125,7 +122,7 @@ pub fn measure() -> BenchPartitionResults {
         assert_eq!(r.distribution.total(), BENCH_N);
     };
     let run_seed = || {
-        let (r, _) = seed.partition_explain(BENCH_N, &seed_views).unwrap();
+        let (r, _) = optimized.partition_explain(BENCH_N, &seed_views).unwrap();
         assert_eq!(r.distribution.total(), BENCH_N);
     };
     run_optimized();
@@ -330,7 +327,7 @@ pub fn run() -> Report {
         Ok(path) => r.note(format!("raw medians written to {}", path.display())),
         Err(e) => r.note(format!("could not write BENCH_partition.json: {e}")),
     }
-    r.note("baselines are the seed behaviours: the paper-literal strategy over uncached numeric probes, sequential build, plain tiled loop");
+    r.note("baselines are the seed behaviours: the paper-literal strategy over numeric probes, sequential build, plain tiled loop");
     r.note("the seeded-vs-paper row compares the default solve with the paper-literal Fig. 15 strategy on the same optimised models; the warm-start row's baseline is the seeded cold solve");
     r.note("the sort-sample row compares the nonlinear cost-domain solve against the linear solve (its ratio is the transform's overhead, not a speedup)");
     r

@@ -87,8 +87,7 @@ pub trait CostFunction {
     ///   search and a few Newton steps inside the segment that holds the
     ///   crossing; over any other base, by a few closed-form inversions of
     ///   that base;
-    /// * the forwarding wrappers ([`CachedCost`](crate::cost::CachedCost)
-    ///   and the erased references) over a model that answers.
+    /// * the erased references over a model that answers.
     ///
     /// [`AnalyticSpeed`](crate::speed::AnalyticSpeed), simulated machines
     /// and custom models keep the default `None`.
@@ -102,26 +101,12 @@ pub trait CostFunction {
         None
     }
 
-    /// Whether [`intersect_slope`](Self::intersect_slope) answers in
-    /// closed form, without running an intersection.
-    ///
-    /// The default probes `intersect_slope(1.0)`, which is cheap for a
-    /// model that answers directly. Wrappers whose intersection is itself
-    /// iterative ([`SortCost`](crate::cost::SortCost),
-    /// [`QueryCost`](crate::cost::QueryCost)) or that merely forward
-    /// ([`CachedCost`](crate::cost::CachedCost), the erased references)
-    /// ask their inner model instead.
-    fn has_closed_form(&self) -> bool {
-        self.intersect_slope(1.0).is_some()
-    }
-
     /// The `(size, speed)` knots of a piece-wise linear speed model, if
     /// this is one; see
     /// [`SpeedFunction::speed_knots`](crate::speed::SpeedFunction::speed_knots)
     /// for the contract.
     ///
-    /// The blanket adapter, the erased references and
-    /// [`CachedCost`](crate::cost::CachedCost) forward it, so a
+    /// The blanket adapter and the erased references forward it, so a
     /// [`PiecewiseLinearSpeed`](crate::speed::PiecewiseLinearSpeed) shows
     /// its knots through them. Every other model keeps the default `None`:
     /// [`PiecewiseLinearCost`](crate::cost::PiecewiseLinearCost) holds
@@ -191,10 +176,6 @@ impl<'a> CostFunction for &'a (dyn CostFunction + 'a) {
         (**self).intersect_slope(slope)
     }
 
-    fn has_closed_form(&self) -> bool {
-        (**self).has_closed_form()
-    }
-
     fn speed_knots(&self) -> Option<&[(f64, f64)]> {
         (**self).speed_knots()
     }
@@ -221,10 +202,6 @@ impl<'a> CostFunction for &'a (dyn CostFunction + Send + Sync + 'a) {
 
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         (**self).intersect_slope(slope)
-    }
-
-    fn has_closed_form(&self) -> bool {
-        (**self).has_closed_form()
     }
 
     fn speed_knots(&self) -> Option<&[(f64, f64)]> {
@@ -304,7 +281,6 @@ mod tests {
 
     #[test]
     fn speed_knots_reach_every_forwarding_view() {
-        use crate::cost::CachedCost;
         use crate::speed::{PiecewiseLinearSpeed, ScaledSpeed};
         use std::sync::Arc;
         let model = PiecewiseLinearSpeed::new(vec![(10.0, 100.0), (1000.0, 50.0)]).unwrap();
@@ -316,7 +292,6 @@ mod tests {
         assert_eq!(CostFunction::speed_knots(&erased), knots);
         assert_eq!(CostFunction::speed_knots(&&*shared), knots);
         assert_eq!(CostFunction::speed_knots(&boxed), knots);
-        assert_eq!(CachedCost::new(&model).speed_knots(), knots);
         // A wrapper that changes speeds must not show its inner knots.
         let scaled = ScaledSpeed::new(model.clone(), 2.0);
         assert_eq!(CostFunction::speed_knots(&scaled), None);

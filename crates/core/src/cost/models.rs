@@ -218,10 +218,6 @@ impl<F: CostFunction + ?Sized> CostFunction for SortCost<'_, F> {
         };
         invert_through_base(self.inner, slope, SORT_FLAT_TO, factor, |x| self.rate(x))
     }
-
-    fn has_closed_form(&self) -> bool {
-        self.inner.has_closed_form()
-    }
 }
 
 /// Query/join transform: `time(x) = base_time(x) · max(x, 1)^γ`.
@@ -300,10 +296,6 @@ impl<F: CostFunction + ?Sized> CostFunction for QueryCost<'_, F> {
         };
         let flat_to = query_flat_to(self.gamma);
         invert_through_base(self.inner, slope, flat_to, factor, |x| self.rate(x))
-    }
-
-    fn has_closed_form(&self) -> bool {
-        self.inner.has_closed_form()
     }
 }
 
@@ -838,10 +830,10 @@ mod tests {
             assert_eq!(sort.intersect_slope(slope), None);
             assert_eq!(query.intersect_slope(slope), None);
         }
-        assert!(!sort.has_closed_form() && !query.has_closed_form());
         with_closed_form_bases(|name, base| {
-            assert!(SortCost::new(base).has_closed_form(), "{name}");
-            assert!(QueryCost::new(base, DEFAULT_QUERY_GAMMA).has_closed_form(), "{name}");
+            assert!(SortCost::new(base).intersect_slope(1.0).is_some(), "{name}");
+            let query = QueryCost::new(base, DEFAULT_QUERY_GAMMA);
+            assert!(query.intersect_slope(1.0).is_some(), "{name}");
         });
     }
 

@@ -18,15 +18,13 @@
 //! [modified algorithm](super::ModifiedPartitioner).
 
 use super::fine_tune::fine_tune;
-use super::initial::{
-    bracket_from_slope_probed, bracket_slopes_counted, BracketProbes, SlopeBracket,
-};
+use super::initial::{bracket_from_slope, bracket_slopes, BracketProbes, SlopeBracket};
 use super::problem::{
-    empty_report, seed_slope, validate_processors, Distribution, PartitionReport, Partitioner,
+    donor_seed, empty_report, validate_processors, Distribution, PartitionReport, Partitioner,
 };
 use crate::error::{Error, Result};
 use crate::geometry::intersections_at_slope;
-use crate::cost::{CachedCost, CostFunction};
+use crate::cost::CostFunction;
 use crate::trace::{IterationRecord, Trace};
 
 /// How the trial slope is chosen from the two bounding slopes.
@@ -67,15 +65,11 @@ pub struct BisectionPartitioner {
     /// exists to surface the algorithm's documented worst case instead of
     /// hanging.
     pub max_steps: usize,
-    /// Memoize model probes per run (see [`CachedCost`]): the shrinking
-    /// bracket and the fine-tuning heap revisit the same abscissas many
-    /// times. On by default; disable to measure the raw algorithm.
-    pub eval_cache: bool,
 }
 
 impl Default for BisectionPartitioner {
     fn default() -> Self {
-        Self { slope_mode: SlopeMode::default(), max_steps: 100_000, eval_cache: true }
+        Self { slope_mode: SlopeMode::default(), max_steps: 100_000 }
     }
 }
 
@@ -98,82 +92,39 @@ impl BisectionPartitioner {
         self
     }
 
-    /// Enables or disables the per-run model-evaluation cache.
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        self.eval_cache = enabled;
-        self
-    }
-
-    /// Runs the search from an explicit slope bracket (used by the combined
-    /// algorithm to resume after its probing step).
+    /// Runs the slope search from an explicit bracket (used by the
+    /// combined algorithm to resume after its probing step or its seed).
+    ///
+    /// Without `probes` the search sweeps both bounds and halves the
+    /// bracket by [`Self::slope_mode`], as the paper does. With them — the
+    /// ε-bracket around a seed and its endpoint intersections, as
+    /// [`bracket_from_slope`] returns them — it skips the two sweeps (the
+    /// probes were evaluated at exactly the bounds, so this is
+    /// bit-identical) and picks the trial slope by regula falsi (with the
+    /// Illinois anti-stagnation rule) on the element totals: a seeded
+    /// bracket sits within a few parts-per-thousand of the optimum, where
+    /// the total is locally near-linear in the slope, so interpolation
+    /// lands within float resolution in a handful of steps where bisection
+    /// needs `O(log n)`. The integer result is the same either way: the
+    /// stopping criterion and the fine-tuning are identical, and the
+    /// fine-tuning's greedy fill converges to the same allocation from any
+    /// valid bracket.
     pub fn partition_from_bracket<F: CostFunction>(
         &self,
         n: u64,
         funcs: &[F],
         bracket: SlopeBracket,
-        trace: Trace,
-    ) -> Result<PartitionReport> {
-        self.search_from_bracket(n, funcs, bracket, trace, false, None)
-    }
-
-    /// The warm-start narrowing: like [`Self::partition_from_bracket`] but
-    /// the trial slope is chosen by regula falsi (with the Illinois
-    /// anti-stagnation rule) on the element totals instead of the midpoint.
-    /// A warm bracket already sits within a few parts-per-thousand of the
-    /// optimum where the total is locally near-linear in the slope, so
-    /// interpolation lands within float resolution in a handful of steps
-    /// where bisection needs `O(log n)`. The integer result is unchanged:
-    /// the stopping criterion and the fine-tuning are identical, and the
-    /// fine-tuning's greedy fill converges to the same allocation from any
-    /// valid bracket.
-    pub fn resolve_from_bracket<F: CostFunction>(
-        &self,
-        n: u64,
-        funcs: &[F],
-        bracket: SlopeBracket,
-        trace: Trace,
-    ) -> Result<PartitionReport> {
-        self.search_from_bracket(n, funcs, bracket, trace, true, None)
-    }
-
-    /// [`Self::resolve_from_bracket`] with the bracket-establishing
-    /// intersection sweeps already in hand (from
-    /// [`bracket_from_slope_probed`]), so the search skips its two endpoint
-    /// sweeps. The probes were evaluated at exactly the bracket's bounds,
-    /// so seeding them is bit-identical to re-sweeping.
-    pub(crate) fn resolve_from_bracket_probed<F: CostFunction>(
-        &self,
-        n: u64,
-        funcs: &[F],
-        bracket: SlopeBracket,
-        trace: Trace,
-        probes: BracketProbes,
-    ) -> Result<PartitionReport> {
-        self.search_from_bracket(n, funcs, bracket, trace, true, Some(probes))
-    }
-
-    fn search_from_bracket<F: CostFunction>(
-        &self,
-        n: u64,
-        funcs: &[F],
-        bracket: SlopeBracket,
         mut trace: Trace,
-        interpolate: bool,
         probes: Option<BracketProbes>,
     ) -> Result<PartitionReport> {
         let target = n as f64;
         let mut shallow = bracket.shallow;
         let mut steep = bracket.steep;
+        let interpolate = probes.is_some();
         // The bounding lines' intersections are cached: after each step one
         // bound inherits the trial line's freshly computed abscissas, so
         // every iteration costs p intersection searches instead of 3p.
-        let (mut lo_x, mut hi_x) = match probes {
-            Some((lo_x, hi_x)) => (lo_x, hi_x),
-            None => (
-                intersections_at_slope(funcs, steep),
-                intersections_at_slope(funcs, shallow),
-            ),
-        };
+        let (mut lo_x, mut hi_x) = probes.unwrap_or_else(|| bracket.probe(funcs));
         // Bracket-end residuals for the regula-falsi trial: `f_shallow ≥ 0`
         // (the shallow line overshoots the target), `f_steep ≤ 0`. `side`
         // remembers which bound the previous step replaced so the Illinois
@@ -254,14 +205,9 @@ impl Partitioner for BisectionPartitioner {
         if n == 0 {
             return Ok(empty_report(funcs.len()));
         }
-        if self.eval_cache {
-            // One cache per processor, shared by the bracketing, the
-            // bisection iterations and the fine-tuning heap.
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.cold(n, &cached)
-        } else {
-            self.cold(n, funcs)
-        }
+        let (bracket, bracket_probes) = bracket_slopes(n, funcs)?;
+        let trace = Trace { bracket_probes, ..Trace::default() };
+        self.partition_from_bracket(n, funcs, bracket, trace, None)
     }
 
     fn resolve_from<F: CostFunction>(
@@ -274,47 +220,14 @@ impl Partitioner for BisectionPartitioner {
         if n == 0 {
             return Ok(empty_report(funcs.len()));
         }
-        let seed = match seed_slope(prev, funcs) {
-            Some(s) => s,
-            None => return self.partition(n, funcs),
-        };
-        // First-order rescale for the new size: the donor's slope balanced
-        // `prev.total()` elements and the balanced total is inversely
-        // proportional to the slope for locally flat graphs (exactly so for
-        // constant speeds), so `seed·prev_total/n` centres the ε-bracket on
-        // the expected optimum instead of on the donor's. `prev.total() > 0`
-        // whenever the seed exists, and steeper-than-flat graphs only move
-        // the optimum further in the same direction, which the bracket
-        // widening covers.
-        let seed = seed * (prev.total() as f64 / n as f64);
-        if self.eval_cache {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.warm(n, &cached, seed)
-        } else {
-            self.warm(n, funcs, seed)
-        }
-    }
-}
-
-impl BisectionPartitioner {
-    /// The cold path over (possibly cache-wrapped) models: the paper's
-    /// initial lines, then the slope search.
-    fn cold<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
-        let (bracket, bracket_probes) = bracket_slopes_counted(n, funcs)?;
-        let trace = Trace { bracket_probes, ..Trace::default() };
-        self.partition_from_bracket(n, funcs, bracket, trace)
-    }
-
-    /// The warm path over (possibly cache-wrapped) models: the search from
-    /// a bracket seeded at `seed`, or the cold path when the seed fails to
-    /// bracket.
-    fn warm<F: CostFunction>(&self, n: u64, funcs: &[F], seed: f64) -> Result<PartitionReport> {
-        match bracket_from_slope_probed(n, funcs, seed) {
-            Ok((bracket, probes, bracket_probes)) => {
+        let seeded = donor_seed(prev, n, funcs).map(|seed| bracket_from_slope(n, funcs, seed));
+        match seeded {
+            Some(Ok((bracket, probes, bracket_probes))) => {
                 let trace = Trace { warm_bracket: true, bracket_probes, ..Trace::default() };
-                self.resolve_from_bracket_probed(n, funcs, bracket, trace, probes)
+                self.partition_from_bracket(n, funcs, bracket, trace, Some(probes))
             }
-            Err(_) => self.cold(n, funcs),
+            // No usable donor, or a seed that fails to bracket: cold path.
+            _ => self.partition(n, funcs),
         }
     }
 }

@@ -33,15 +33,16 @@
 //! so errors are identical too.
 
 use super::bisection::BisectionPartitioner;
-use super::initial::{bracket_from_slope_probed, bracket_slopes_counted, SlopeBracket};
+use super::initial::{bracket_from_slope, bracket_slopes, SlopeBracket};
 use super::modified::ModifiedPartitioner;
 use super::problem::{
-    empty_report, seed_slope, validate_processors, Distribution, PartitionReport, Partitioner,
+    donor_seed, empty_report, seed_slope, validate_processors, Distribution, PartitionReport,
+    Partitioner,
 };
 use super::single_number::SingleNumberPartitioner;
 use crate::error::{Error, Result};
 use crate::geometry::intersections_at_slope;
-use crate::cost::{CachedCost, CostFunction};
+use crate::cost::CostFunction;
 use crate::trace::{IterationRecord, Trace};
 
 /// Which algorithm the combined strategy selected for a given problem.
@@ -65,17 +66,11 @@ pub struct CombinedPartitioner {
     pub flatness_threshold: f64,
     /// Step budget handed to the basic stage before falling back.
     pub basic_step_budget: usize,
-    /// Memoize model probes per run (see [`CachedCost`]). One cache per
-    /// processor is shared across the probing step, the chosen algorithm,
-    /// a potential fallback and the fine-tuning heap. The seeded search
-    /// skips it when every model intersects in closed form. On by
-    /// default; disable to measure the raw algorithms.
-    pub eval_cache: bool,
 }
 
 impl Default for CombinedPartitioner {
     fn default() -> Self {
-        Self { flatness_threshold: 0.02, basic_step_budget: 4096, eval_cache: true }
+        Self { flatness_threshold: 0.02, basic_step_budget: 4096 }
     }
 }
 
@@ -83,12 +78,6 @@ impl CombinedPartitioner {
     /// Creates the partitioner with default thresholds.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Enables or disables the per-run model-evaluation cache.
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        self.eval_cache = enabled;
-        self
     }
 
     /// Numerical relative log-derivative `|s'(x)|·x/s(x)` of `f`'s
@@ -123,22 +112,8 @@ impl CombinedPartitioner {
         if n == 0 {
             return Ok((empty_report(funcs.len()), CombinedChoice::Basic));
         }
-        if self.eval_cache {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.partition_explain_inner(n, &cached)
-        } else {
-            self.partition_explain_inner(n, funcs)
-        }
-    }
-
-    /// The Fig. 15 strategy proper, over (possibly cache-wrapped) models.
-    fn partition_explain_inner<F: CostFunction>(
-        &self,
-        n: u64,
-        funcs: &[F],
-    ) -> Result<(PartitionReport, CombinedChoice)> {
         let target = n as f64;
-        let (bracket, bracket_probes) = bracket_slopes_counted(n, funcs)?;
+        let (bracket, bracket_probes) = bracket_slopes(n, funcs)?;
 
         // Probing step: one slope bisection of the initial region.
         let trial = 0.5 * (bracket.shallow + bracket.steep);
@@ -170,49 +145,25 @@ impl CombinedPartitioner {
 
         if use_basic {
             let basic = BisectionPartitioner::new().with_max_steps(self.basic_step_budget);
-            match basic.partition_from_bracket(n, funcs, refined, trace.clone()) {
+            match basic.partition_from_bracket(n, funcs, refined, trace.clone(), None) {
                 Ok(report) => return Ok((report, CombinedChoice::Basic)),
                 Err(Error::NoConvergence { .. }) => {
                     let report = ModifiedPartitioner::new()
-                        .partition_from_bracket(n, funcs, refined, trace)?;
+                        .partition_from_bracket(n, funcs, refined, trace, None)?;
                     return Ok((report, CombinedChoice::FallbackToModified));
                 }
                 Err(e) => return Err(e),
             }
         }
         let report =
-            ModifiedPartitioner::new().partition_from_bracket(n, funcs, refined, trace)?;
+            ModifiedPartitioner::new().partition_from_bracket(n, funcs, refined, trace, None)?;
         Ok((report, CombinedChoice::Modified))
     }
-}
 
-impl CombinedPartitioner {
-    /// The warm machinery over (possibly cache-wrapped) models: basic
-    /// bisection from the bracket seeded at `seed`, modified as the usual
-    /// safety net. `warm` marks a seed taken from a donor plan in the
-    /// trace. `None` when the seed fails to bracket or the search fails:
-    /// the caller then takes its fallback.
-    fn resolve_from_inner<F: CostFunction>(
-        &self,
-        n: u64,
-        funcs: &[F],
-        seed: f64,
-        warm: bool,
-    ) -> Option<PartitionReport> {
-        let (bracket, probes, bracket_probes) = bracket_from_slope_probed(n, funcs, seed).ok()?;
-        let trace = Trace { warm_bracket: warm, bracket_probes, ..Trace::default() };
-        let basic = BisectionPartitioner::new().with_max_steps(self.basic_step_budget);
-        match basic.resolve_from_bracket_probed(n, funcs, bracket, trace.clone(), probes) {
-            Ok(report) => Some(report),
-            Err(Error::NoConvergence { .. }) => {
-                ModifiedPartitioner::new().partition_from_bracket(n, funcs, bracket, trace).ok()
-            }
-            Err(_) => None,
-        }
-    }
-
-    /// [`Self::resolve_from_inner`] behind the memo rule shared by the
-    /// cold and the warm path.
+    /// The warm machinery: basic bisection from the bracket seeded at
+    /// `seed`, modified as the usual safety net. `warm` marks a seed taken
+    /// from a donor plan in the trace. `None` when the seed fails to
+    /// bracket or the search fails: the caller then takes its fallback.
     fn solve_from_seed<F: CostFunction>(
         &self,
         n: u64,
@@ -220,18 +171,18 @@ impl CombinedPartitioner {
         seed: f64,
         warm: bool,
     ) -> Option<PartitionReport> {
-        // The seeded search probes only a handful of slopes, and when every
-        // model answers `intersect_slope` in closed form each model probe
-        // lands on a fresh `x` — the memo table would be written once
-        // per key and never read. Skip the wrapper there; keep it for
-        // models that fall back to the numeric intersection search, whose
-        // exponential bracketing re-probes the same abscissas every sweep.
-        let closed_form = funcs.iter().all(|f| f.has_closed_form());
-        if self.eval_cache && !closed_form {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.resolve_from_inner(n, &cached, seed, warm)
-        } else {
-            self.resolve_from_inner(n, funcs, seed, warm)
+        let (bracket, probes, bracket_probes) = bracket_from_slope(n, funcs, seed).ok()?;
+        let trace = Trace { warm_bracket: warm, bracket_probes, ..Trace::default() };
+        let basic = BisectionPartitioner::new().with_max_steps(self.basic_step_budget);
+        match basic.partition_from_bracket(n, funcs, bracket, trace.clone(), Some(probes)) {
+            Ok(report) => Some(report),
+            // The basic stage spent its whole step budget, so re-sweeping the
+            // two endpoints here costs nothing next to it, and keeping the
+            // probes for this rare path would copy them on every solve.
+            Err(Error::NoConvergence { .. }) => ModifiedPartitioner::new()
+                .partition_from_bracket(n, funcs, bracket, trace, None)
+                .ok(),
+            Err(_) => None,
         }
     }
 }
@@ -282,20 +233,7 @@ impl Partitioner for CombinedPartitioner {
         if n == 0 {
             return Ok(empty_report(funcs.len()));
         }
-        let seed = match seed_slope(prev, funcs) {
-            Some(s) => s,
-            None => return self.partition(n, funcs),
-        };
-        // First-order rescale for the new size: the donor's slope balanced
-        // `prev.total()` elements and the balanced total is inversely
-        // proportional to the slope for locally flat graphs (exactly so for
-        // constant speeds), so `seed·prev_total/n` centres the ε-bracket on
-        // the expected optimum instead of on the donor's. `prev.total() > 0`
-        // whenever the seed exists, and steeper-than-flat graphs only move
-        // the optimum further in the same direction, which the bracket
-        // widening covers.
-        let seed = seed * (prev.total() as f64 / n as f64);
-        match self.solve_from_seed(n, funcs, seed, true) {
+        match donor_seed(prev, n, funcs).and_then(|s| self.solve_from_seed(n, funcs, s, true)) {
             Some(report) => Ok(report),
             None => self.partition(n, funcs),
         }
@@ -456,11 +394,11 @@ mod tests {
         let p = CombinedPartitioner::new();
         let cold = p.partition(3000, &funcs).unwrap();
         for seed in [0.05 * 1e6, 0.05 * 1e-6] {
-            let far = p.resolve_from_inner(3000, &funcs, seed, false).unwrap();
+            let far = p.solve_from_seed(3000, &funcs, seed, false).unwrap();
             assert!(far.trace.bracket_probes > 0, "seed {seed}");
             assert_same(&Ok(far), &Ok(cold.clone()), &format!("seed {seed}"));
         }
-        let near = p.resolve_from_inner(3000, &funcs, 0.05, false).unwrap();
+        let near = p.solve_from_seed(3000, &funcs, 0.05, false).unwrap();
         assert_eq!(near.trace.bracket_probes, 0);
     }
 

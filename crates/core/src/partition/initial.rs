@@ -11,7 +11,7 @@
 //! expanded geometrically until it provably contains the optimum.
 
 use crate::error::{Error, Result};
-use crate::geometry::total_elements_at_slope;
+use crate::geometry::{intersections_at_slope, total_elements_at_slope};
 use crate::cost::CostFunction;
 
 /// A slope interval known to contain the optimally sloped line.
@@ -32,7 +32,18 @@ impl SlopeBracket {
     pub fn width(&self) -> f64 {
         self.steep - self.shallow
     }
+
+    /// Sweeps both bounds: the per-machine intersections at `steep` and at
+    /// `shallow`, in [`BracketProbes`] order.
+    pub(crate) fn probe<F: CostFunction>(&self, funcs: &[F]) -> BracketProbes {
+        (intersections_at_slope(funcs, self.steep), intersections_at_slope(funcs, self.shallow))
+    }
 }
+
+/// A [`SlopeBracket`]'s per-machine intersection pair: the abscissas at the
+/// steep bound (`lo`, summing ≤ n) and at the shallow bound (`hi`, summing
+/// ≥ n).
+pub type BracketProbes = (Vec<f64>, Vec<f64>);
 
 /// The paper's initial-line construction: probe every processor at `n/p`
 /// and return the slopes of the lines through the maximal and minimal
@@ -53,23 +64,15 @@ pub fn initial_slopes<F: CostFunction>(n: u64, funcs: &[F]) -> Option<(f64, f64)
 /// Produces a valid [`SlopeBracket`] for the problem, starting from the
 /// paper's initial lines and expanding geometrically when they fail to
 /// bracket (possible when `n/p` probes hit degenerate regions of the
-/// models).
+/// models), and how many times it was widened (see
+/// [`crate::trace::Trace::bracket_probes`]).
 ///
 /// # Errors
 ///
 /// [`Error::InsufficientCapacity`] if even an arbitrarily shallow line
 /// cannot reach `n` total elements (all models bounded and their combined
 /// capacity is below `n`).
-pub fn bracket_slopes<F: CostFunction>(n: u64, funcs: &[F]) -> Result<SlopeBracket> {
-    bracket_slopes_counted(n, funcs).map(|(bracket, _)| bracket)
-}
-
-/// [`bracket_slopes`], additionally returning how many times the bracket
-/// was widened (see [`crate::trace::Trace::bracket_probes`]).
-pub(crate) fn bracket_slopes_counted<F: CostFunction>(
-    n: u64,
-    funcs: &[F],
-) -> Result<(SlopeBracket, usize)> {
+pub fn bracket_slopes<F: CostFunction>(n: u64, funcs: &[F]) -> Result<(SlopeBracket, usize)> {
     debug_assert!(n > 0 && !funcs.is_empty());
     let target = n as f64;
 
@@ -140,7 +143,11 @@ pub(crate) fn bracket_slopes_counted<F: CostFunction>(
     Ok((SlopeBracket { shallow, steep }, steep_widenings + shallow_widenings))
 }
 
-/// Seeds a [`SlopeBracket`] from a known-good slope — the warm-start path.
+/// Seeds a [`SlopeBracket`] from a known-good slope — the warm-start path —
+/// and returns it with its [`BracketProbes`], the intersections evaluated
+/// at the two accepted bounds, so the search can start without re-sweeping
+/// them, and how many times the ε-bracket was widened (see
+/// [`crate::trace::Trace::bracket_probes`]).
 ///
 /// The interval starts at `[slope·(1−ε), slope·(1+ε)]` (ε = 1e-3) and each
 /// failing side is widened by *squaring* its relative offset factor
@@ -162,24 +169,6 @@ pub fn bracket_from_slope<F: CostFunction>(
     n: u64,
     funcs: &[F],
     slope: f64,
-) -> Result<SlopeBracket> {
-    bracket_from_slope_probed(n, funcs, slope).map(|(bracket, ..)| bracket)
-}
-
-/// A [`SlopeBracket`] per machine intersection pair: the abscissas at the
-/// steep bound (`lo`, summing ≤ n) and at the shallow bound (`hi`, summing
-/// ≥ n), as evaluated while establishing the bracket.
-pub type BracketProbes = (Vec<f64>, Vec<f64>);
-
-/// [`bracket_from_slope`], additionally returning the per-machine
-/// intersections evaluated at the two accepted bounds, so the subsequent
-/// search can start without re-sweeping the endpoints, and how many times
-/// the ε-bracket was widened (see
-/// [`crate::trace::Trace::bracket_probes`]).
-pub(crate) fn bracket_from_slope_probed<F: CostFunction>(
-    n: u64,
-    funcs: &[F],
-    slope: f64,
 ) -> Result<(SlopeBracket, BracketProbes, usize)> {
     debug_assert!(n > 0 && !funcs.is_empty());
     const EPSILON: f64 = 1e-3;
@@ -198,7 +187,7 @@ pub(crate) fn bracket_from_slope_probed<F: CostFunction>(
 
     let mut steep_widenings = 0;
     let lo_x = loop {
-        let xs = crate::geometry::intersections_at_slope(funcs, steep);
+        let xs = intersections_at_slope(funcs, steep);
         let total: f64 = xs.iter().sum();
         if !total.is_finite() {
             return fail("bracket_from_slope(steep)", steep_widenings);
@@ -215,7 +204,7 @@ pub(crate) fn bracket_from_slope_probed<F: CostFunction>(
     };
     let mut shallow_widenings = 0;
     let hi_x = loop {
-        let xs = crate::geometry::intersections_at_slope(funcs, shallow);
+        let xs = intersections_at_slope(funcs, shallow);
         let total: f64 = xs.iter().sum();
         if !total.is_finite() {
             return fail("bracket_from_slope(shallow)", shallow_widenings);
@@ -258,7 +247,7 @@ mod tests {
             AnalyticSpeed::unimodal(250.0, 1e4, 5e6, 2.0),
         ];
         let n = 10_000_000;
-        let b = bracket_slopes(n, &funcs).unwrap();
+        let (b, _) = bracket_slopes(n, &funcs).unwrap();
         assert!(b.shallow < b.steep);
         assert!(total_elements_at_slope(&funcs, b.steep) <= n as f64 + 1e-3);
         assert!(total_elements_at_slope(&funcs, b.shallow) >= n as f64 - 1e-3);
@@ -272,7 +261,7 @@ mod tests {
             AnalyticSpeed::paging(100.0, 1e3, 4.0),
             AnalyticSpeed::paging(100.0, 1e3, 4.0),
         ];
-        let b = bracket_slopes(1_000_000, &funcs).unwrap();
+        let (b, _) = bracket_slopes(1_000_000, &funcs).unwrap();
         assert!(total_elements_at_slope(&funcs, b.shallow) >= 1e6 - 1.0);
     }
 
@@ -288,7 +277,7 @@ mod tests {
     #[test]
     fn width_is_positive() {
         let funcs = vec![ConstantSpeed::new(10.0), ConstantSpeed::new(90.0)];
-        let b = bracket_slopes(1000, &funcs).unwrap();
+        let (b, _) = bracket_slopes(1000, &funcs).unwrap();
         assert!(b.width() > 0.0);
     }
 
@@ -338,11 +327,11 @@ mod tests {
             AnalyticSpeed::unimodal(250.0, 1e4, 5e6, 2.0),
         ];
         let n = 10_000_000u64;
-        let cold = bracket_slopes(n, &funcs).unwrap();
+        let (cold, _) = bracket_slopes(n, &funcs).unwrap();
         // Use the cold bracket's midpoint as a plausible previous-solution
         // slope; the warm bracket must be valid and far tighter than cold.
         let seed = 0.5 * (cold.shallow + cold.steep);
-        let warm = bracket_from_slope(n, &funcs, seed).unwrap();
+        let (warm, ..) = bracket_from_slope(n, &funcs, seed).unwrap();
         assert!(warm.shallow < warm.steep);
         assert!(total_elements_at_slope(&funcs, warm.steep) <= n as f64 + 1e-3);
         assert!(total_elements_at_slope(&funcs, warm.shallow) >= n as f64 - 1e-3);
@@ -355,7 +344,7 @@ mod tests {
         // Optimal slope is 0.5 (150 · slope⁻¹ = 300); seed far away on both
         // sides and require a valid bracket anyway.
         for seed in [1e-6, 1e6] {
-            let b = bracket_from_slope(n, &funcs, seed).unwrap();
+            let (b, ..) = bracket_from_slope(n, &funcs, seed).unwrap();
             assert!(total_elements_at_slope(&funcs, b.steep) <= n as f64 + 1e-9, "{seed}");
             assert!(total_elements_at_slope(&funcs, b.shallow) >= n as f64 - 1e-9, "{seed}");
         }

@@ -49,7 +49,7 @@ pub use contiguous::{
     ContiguousPartitioner,
 };
 pub use fine_tune::fine_tune;
-pub use initial::{bracket_from_slope, bracket_slopes, initial_slopes, SlopeBracket};
+pub use initial::{bracket_from_slope, bracket_slopes, initial_slopes, BracketProbes, SlopeBracket};
 pub use modified::ModifiedPartitioner;
 pub use problem::{seed_slope, Distribution, PartitionReport, Partitioner};
 pub use secant::SecantPartitioner;

@@ -20,31 +20,22 @@
 //! graphs** — unlike the basic algorithm, which is shape-sensitive.
 
 use super::fine_tune::fine_tune;
-use super::initial::{bracket_from_slope_probed, bracket_slopes_counted, SlopeBracket};
+use super::initial::{bracket_from_slope, bracket_slopes, BracketProbes, SlopeBracket};
 use super::problem::{
-    empty_report, seed_slope, validate_processors, Distribution, PartitionReport, Partitioner,
+    donor_seed, empty_report, validate_processors, Distribution, PartitionReport, Partitioner,
 };
 use crate::error::{Error, Result};
 use crate::geometry::intersections_at_slope;
-use crate::cost::{CachedCost, CostFunction};
+use crate::cost::CostFunction;
 use crate::trace::{IterationRecord, Trace};
 
 /// The solution-space bisection partitioner.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct ModifiedPartitioner {
     /// Hard step budget. The theoretical bound is `p·log₂ n`; the default
     /// budget is computed per problem as `4·p·log₂(n+2) + 64` when this
     /// field is `None`.
     pub max_steps: Option<usize>,
-    /// Memoize model probes per run (see [`CachedCost`]). On by
-    /// default; disable to measure the raw algorithm.
-    pub eval_cache: bool,
-}
-
-impl Default for ModifiedPartitioner {
-    fn default() -> Self {
-        Self { max_steps: None, eval_cache: true }
-    }
 }
 
 impl ModifiedPartitioner {
@@ -60,25 +51,23 @@ impl ModifiedPartitioner {
         self
     }
 
-    /// Enables or disables the per-run model-evaluation cache.
-    pub fn with_eval_cache(mut self, enabled: bool) -> Self {
-        self.eval_cache = enabled;
-        self
-    }
-
     fn budget(&self, n: u64, p: usize) -> usize {
         self.max_steps
             .unwrap_or_else(|| 4 * p * ((n + 2) as f64).log2().ceil() as usize + 64)
     }
 
     /// Runs the search from an explicit slope bracket (used by the combined
-    /// algorithm).
+    /// algorithm). `probes`, the bracket's endpoint intersections as
+    /// [`bracket_from_slope`] returns them, spare the search its two
+    /// endpoint sweeps; they were evaluated at exactly the bounds, so the
+    /// result is bit-identical.
     pub fn partition_from_bracket<F: CostFunction>(
         &self,
         n: u64,
         funcs: &[F],
         bracket: SlopeBracket,
         mut trace: Trace,
+        probes: Option<BracketProbes>,
     ) -> Result<PartitionReport> {
         let target = n as f64;
         let mut shallow = bracket.shallow;
@@ -86,8 +75,7 @@ impl ModifiedPartitioner {
         let budget = self.budget(n, funcs.len());
         // Bound intersections are cached across iterations: the updated
         // bound always inherits the trial line's abscissas.
-        let mut hi_x = intersections_at_slope(funcs, shallow);
-        let mut lo_x = intersections_at_slope(funcs, steep);
+        let (mut lo_x, mut hi_x) = probes.unwrap_or_else(|| bracket.probe(funcs));
 
         for step in 1..=budget {
 
@@ -175,12 +163,9 @@ impl Partitioner for ModifiedPartitioner {
         if n == 0 {
             return Ok(empty_report(funcs.len()));
         }
-        if self.eval_cache {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.cold(n, &cached)
-        } else {
-            self.cold(n, funcs)
-        }
+        let (bracket, bracket_probes) = bracket_slopes(n, funcs)?;
+        let trace = Trace { bracket_probes, ..Trace::default() };
+        self.partition_from_bracket(n, funcs, bracket, trace, None)
     }
 
     fn resolve_from<F: CostFunction>(
@@ -193,47 +178,14 @@ impl Partitioner for ModifiedPartitioner {
         if n == 0 {
             return Ok(empty_report(funcs.len()));
         }
-        let seed = match seed_slope(prev, funcs) {
-            Some(s) => s,
-            None => return self.partition(n, funcs),
-        };
-        // First-order rescale for the new size: the donor's slope balanced
-        // `prev.total()` elements and the balanced total is inversely
-        // proportional to the slope for locally flat graphs (exactly so for
-        // constant speeds), so `seed·prev_total/n` centres the ε-bracket on
-        // the expected optimum instead of on the donor's. `prev.total() > 0`
-        // whenever the seed exists, and steeper-than-flat graphs only move
-        // the optimum further in the same direction, which the bracket
-        // widening covers.
-        let seed = seed * (prev.total() as f64 / n as f64);
-        if self.eval_cache {
-            let cached: Vec<CachedCost<F>> = funcs.iter().map(CachedCost::new).collect();
-            self.warm(n, &cached, seed)
-        } else {
-            self.warm(n, funcs, seed)
-        }
-    }
-}
-
-impl ModifiedPartitioner {
-    /// The cold path over (possibly cache-wrapped) models: the paper's
-    /// initial lines, then the solution-space search.
-    fn cold<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
-        let (bracket, bracket_probes) = bracket_slopes_counted(n, funcs)?;
-        let trace = Trace { bracket_probes, ..Trace::default() };
-        self.partition_from_bracket(n, funcs, bracket, trace)
-    }
-
-    /// The warm path over (possibly cache-wrapped) models: the search from
-    /// a bracket seeded at `seed`, or the cold path when the seed fails to
-    /// bracket.
-    fn warm<F: CostFunction>(&self, n: u64, funcs: &[F], seed: f64) -> Result<PartitionReport> {
-        match bracket_from_slope_probed(n, funcs, seed) {
-            Ok((bracket, _, bracket_probes)) => {
+        let seeded = donor_seed(prev, n, funcs).map(|seed| bracket_from_slope(n, funcs, seed));
+        match seeded {
+            Some(Ok((bracket, probes, bracket_probes))) => {
                 let trace = Trace { warm_bracket: true, bracket_probes, ..Trace::default() };
-                self.partition_from_bracket(n, funcs, bracket, trace)
+                self.partition_from_bracket(n, funcs, bracket, trace, Some(probes))
             }
-            Err(_) => self.cold(n, funcs),
+            // No usable donor, or a seed that fails to bracket: cold path.
+            _ => self.partition(n, funcs),
         }
     }
 }

@@ -57,7 +57,7 @@ fn bisect_slope<F: CostFunction>(
     integer_stop: bool,
 ) -> Result<SlopeSolution> {
     let target = n as f64;
-    let bracket = bracket_slopes(n, funcs)?;
+    let (bracket, _) = bracket_slopes(n, funcs)?;
     let mut shallow = bracket.shallow;
     let mut steep = bracket.steep;
     let mut hi_x = intersections_at_slope(funcs, shallow);

@@ -164,6 +164,20 @@ pub fn seed_slope<F: CostFunction>(prev: &Distribution, funcs: &[F]) -> Option<f
     Some(*median)
 }
 
+/// The warm-start seed for re-solving `n` elements from the donor plan
+/// `prev`: its [`seed_slope`], rescaled to the new size.
+pub(crate) fn donor_seed<F: CostFunction>(prev: &Distribution, n: u64, funcs: &[F]) -> Option<f64> {
+    // First-order rescale for the new size: the donor's slope balanced
+    // `prev.total()` elements and the balanced total is inversely
+    // proportional to the slope for locally flat graphs (exactly so for
+    // constant speeds), so `seed·prev_total/n` centres the ε-bracket on
+    // the expected optimum instead of on the donor's. `prev.total() > 0`
+    // whenever the seed exists, and steeper-than-flat graphs only move
+    // the optimum further in the same direction, which the bracket
+    // widening covers.
+    seed_slope(prev, funcs).map(|seed| seed * (prev.total() as f64 / n as f64))
+}
+
 /// Shared argument validation: non-empty processor list.
 pub(crate) fn validate_processors<F: CostFunction>(funcs: &[F]) -> Result<()> {
     if funcs.is_empty() {

@@ -17,7 +17,7 @@
 //! algorithm remains [`super::ModifiedPartitioner`].
 
 use super::fine_tune::fine_tune;
-use super::initial::{bracket_slopes_counted, SlopeBracket};
+use super::initial::{bracket_slopes, SlopeBracket};
 use super::problem::{empty_report, validate_processors, PartitionReport, Partitioner};
 use crate::error::{Error, Result};
 use crate::cost::CostFunction;
@@ -145,7 +145,7 @@ impl Partitioner for SecantPartitioner {
         if n == 0 {
             return Ok(empty_report(funcs.len()));
         }
-        let (bracket, bracket_probes) = bracket_slopes_counted(n, funcs)?;
+        let (bracket, bracket_probes) = bracket_slopes(n, funcs)?;
         self.partition_from_bracket(n, funcs, bracket, Trace { bracket_probes, ..Trace::default() })
     }
 }

@@ -74,8 +74,8 @@ pub fn simulate_mm_with_distribution<F: SpeedFunction>(
 
 /// [`simulate_mm`] with the per-processor speed sweep executed in parallel
 /// on pool-bounded scoped threads. Results are identical; use this variant
-/// when the speed models are expensive to evaluate (e.g. cache-wrapped
-/// measured models over large clusters).
+/// when the speed models are expensive to evaluate (e.g. measured models
+/// over large clusters).
 pub fn simulate_mm_par<F: SpeedFunction + Sync, P: Partitioner>(
     n: u64,
     funcs: &[F],

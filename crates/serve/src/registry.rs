@@ -6,10 +6,10 @@
 //! `(size, speed)` knots) or directly in the time domain (`cost_knots`,
 //! `(size, time)` pairs); both erase to [`SharedCost`] for the solver.
 //! Either model evaluates with one binary search over its knots, so the
-//! registry holds them as they are and leaves memoization to the
-//! solvers' per-run [`CachedCost`](fpm_core::cost::CachedCost). The
-//! whole cluster is held behind `Arc` so lookups hand out cheap clones
-//! without holding the registry lock during solves.
+//! registry holds them as they are and the solvers call them directly,
+//! with no memo in between. The whole cluster is held behind `Arc` so
+//! lookups hand out cheap clones without holding the registry lock during
+//! solves.
 
 use std::collections::HashMap;
 use std::sync::{Arc, RwLock};

@@ -503,10 +503,6 @@ impl CostFunction for WithoutKnots<'_> {
     fn intersect_slope(&self, slope: f64) -> Option<f64> {
         self.0.intersect_slope(slope)
     }
-
-    fn has_closed_form(&self) -> bool {
-        self.0.has_closed_form()
-    }
 }
 
 /// Differentially pins the closed-form intersections of the sort and
@@ -609,38 +605,31 @@ pub fn run_closed_form_sweep(config: &ConformanceConfig) -> ConformanceReport {
 /// cluster: [`CombinedPartitioner::partition`], which starts the warm
 /// machinery from the single-number line, must equal the paper-literal
 /// [`CombinedPartitioner::partition_explain`] — equal counts and makespan
-/// bits, or errors with equal `Display` text — with the evaluation cache on
-/// and off.
+/// bits, or errors with equal `Display` text.
 pub fn check_seeded_cold<F: CostFunction>(
     seed: u64,
     descriptor: &str,
     n: u64,
     funcs: &[F],
 ) -> Vec<CaseFailure> {
-    let mut failures = Vec::new();
-    for eval_cache in [true, false] {
-        let combined = CombinedPartitioner::new().with_eval_cache(eval_cache);
-        let seeded = combined.partition(n, funcs);
-        let paper = combined.partition_explain(n, funcs).map(|(report, _)| report);
-        let mismatch = match (&seeded, &paper) {
-            (Err(a), Err(b)) => {
-                (a.to_string() != b.to_string()).then(|| format!("errors \"{a}\" vs \"{b}\""))
-            }
-            _ => plan_mismatch(&seeded, &paper),
-        };
-        if let Some(m) = mismatch {
-            failures.push(CaseFailure {
-                seed,
-                algorithm: "combined",
-                descriptor: descriptor.to_string(),
-                message: format!(
-                    "seeded and paper-literal cold solves diverged at n={n} \
-                     (eval cache {eval_cache}): {m}"
-                ),
-            });
+    let combined = CombinedPartitioner::new();
+    let seeded = combined.partition(n, funcs);
+    let paper = combined.partition_explain(n, funcs).map(|(report, _)| report);
+    let mismatch = match (&seeded, &paper) {
+        (Err(a), Err(b)) => {
+            (a.to_string() != b.to_string()).then(|| format!("errors \"{a}\" vs \"{b}\""))
         }
-    }
-    failures
+        _ => plan_mismatch(&seeded, &paper),
+    };
+    mismatch
+        .map(|m| CaseFailure {
+            seed,
+            algorithm: "combined",
+            descriptor: descriptor.to_string(),
+            message: format!("seeded and paper-literal cold solves diverged at n={n}: {m}"),
+        })
+        .into_iter()
+        .collect()
 }
 
 /// Runs the seeded-cold differential ([`check_seeded_cold`]) over seeded

@@ -75,8 +75,7 @@ fn closed_form_transforms_match_the_numeric_search_plan_for_plan() {
 /// return exactly what the paper-literal `partition_explain` returns —
 /// counts, makespan bits and error text — on the generated clusters (plain
 /// and under the sort and query transforms) and on wire clusters at three
-/// sizes, with the evaluation cache on and off. Scaled with
-/// `FPM_TESTKIT_CASES` like the full sweep.
+/// sizes. Scaled with `FPM_TESTKIT_CASES` like the full sweep.
 #[test]
 fn seeded_combined_matches_the_paper_literal_path() {
     let config = ConformanceConfig {
