@@ -49,7 +49,6 @@ pub fn fig13() -> Report {
     for &n in &[5_000u64, 15_000, 45_000, 90_000] {
         let funcs = exponential_cluster();
         let basic = BisectionPartitioner::new()
-            .with_max_steps(100_000)
             .partition(n, &funcs)
             .map(|rep| rep.trace.steps().to_string())
             .unwrap_or_else(|_| "diverged".into());

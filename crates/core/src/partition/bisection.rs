@@ -4,9 +4,10 @@
 //! line through the origin. If the sum of the intersection abscissas of the
 //! trial line is smaller than `n`, the optimum lies in the lower (shallower
 //! slope) region, otherwise in the upper region. The iteration stops when
-//! no integer-abscissa point of any graph remains strictly inside the
-//! region, after which the fine-tuning procedure picks the integer
-//! allocation.
+//! every processor's interval between the two lines is shorter than one
+//! element, after which the fine-tuning procedure picks the integer
+//! allocation. The loop, shared with the modified and secant algorithms,
+//! and this algorithm's trial rule live in `search.rs`.
 //!
 //! Complexity: each step costs `O(p)` intersection computations. When the
 //! optimal slope decreases polynomially with `n` (`θ_opt(n) = O(n^−k)`)
@@ -17,15 +18,10 @@
 //! `O(n)` — the case that motivates the
 //! [modified algorithm](super::ModifiedPartitioner).
 
-use super::fine_tune::fine_tune;
-use super::initial::{bracket_from_slope, bracket_slopes, BracketProbes, SlopeBracket};
-use super::problem::{
-    donor_seed, empty_report, validate_processors, Distribution, PartitionReport, Partitioner,
-};
-use crate::error::{Error, Result};
-use crate::geometry::intersections_at_slope;
+use super::problem::{Distribution, PartitionReport, Partitioner};
+use super::search::{cold, warm, Rule};
 use crate::cost::CostFunction;
-use crate::trace::{IterationRecord, Trace};
+use crate::error::Result;
 
 /// How the trial slope is chosen from the two bounding slopes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -35,12 +31,11 @@ pub enum SlopeMode {
     /// instead of angles for efficiency from computational point of view").
     #[default]
     Tangent,
-    /// Mean of the angles (the paper's geometric formulation, Fig. 7):
-    /// `θ = (θ₁+θ₂)/2`, trial slope `tan θ`.
-    Angle,
     /// Geometric mean of the tangents (an extension beyond the paper):
     /// halves the *ratio* of the slopes each step, which keeps the step
     /// count logarithmic even for exponentially decaying speed functions.
+    /// Taken as the midpoint in ln-slope, so bounds whose product
+    /// underflows still split.
     Geometric,
 }
 
@@ -49,28 +44,23 @@ impl SlopeMode {
     pub fn trial(&self, shallow: f64, steep: f64) -> f64 {
         match self {
             SlopeMode::Tangent => 0.5 * (shallow + steep),
-            SlopeMode::Angle => (0.5 * (shallow.atan() + steep.atan())).tan(),
-            SlopeMode::Geometric => (shallow * steep).sqrt(),
+            SlopeMode::Geometric => (0.5 * (shallow.ln() + steep.ln())).exp(),
         }
     }
 }
 
 /// The basic slope-bisection partitioner.
-#[derive(Debug, Clone, Copy)]
+///
+/// A cold solve halves the region by [`Self::slope_mode`];
+/// [`Partitioner::resolve_from`] picks trials by regula falsi in an
+/// ε-bracket seeded from the donor plan, and returns the cold plan. A
+/// search gives up with [`crate::error::Error::NoConvergence`] after
+/// 100 000 steps, far beyond any polynomial-slope workload, so the
+/// algorithm's documented `O(n)` worst case surfaces instead of hanging.
+#[derive(Debug, Clone, Copy, Default)]
 pub struct BisectionPartitioner {
     /// Trial-slope rule.
     pub slope_mode: SlopeMode,
-    /// Step budget before giving up with [`Error::NoConvergence`]. The
-    /// default (100 000) is far beyond any polynomial-slope workload and
-    /// exists to surface the algorithm's documented worst case instead of
-    /// hanging.
-    pub max_steps: usize,
-}
-
-impl Default for BisectionPartitioner {
-    fn default() -> Self {
-        Self { slope_mode: SlopeMode::default(), max_steps: 100_000 }
-    }
 }
 
 impl BisectionPartitioner {
@@ -84,130 +74,11 @@ impl BisectionPartitioner {
         self.slope_mode = mode;
         self
     }
-
-    /// Sets the step budget.
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        assert!(max_steps > 0);
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Runs the slope search from an explicit bracket (used by the
-    /// combined algorithm to resume after its probing step or its seed).
-    ///
-    /// Without `probes` the search sweeps both bounds and halves the
-    /// bracket by [`Self::slope_mode`], as the paper does. With them — the
-    /// ε-bracket around a seed and its endpoint intersections, as
-    /// [`bracket_from_slope`] returns them — it skips the two sweeps (the
-    /// probes were evaluated at exactly the bounds, so this is
-    /// bit-identical) and picks the trial slope by regula falsi (with the
-    /// Illinois anti-stagnation rule) on the element totals: a seeded
-    /// bracket sits within a few parts-per-thousand of the optimum, where
-    /// the total is locally near-linear in the slope, so interpolation
-    /// lands within float resolution in a handful of steps where bisection
-    /// needs `O(log n)`. The integer result is the same either way: the
-    /// stopping criterion and the fine-tuning are identical, and the
-    /// fine-tuning's greedy fill converges to the same allocation from any
-    /// valid bracket.
-    pub fn partition_from_bracket<F: CostFunction>(
-        &self,
-        n: u64,
-        funcs: &[F],
-        bracket: SlopeBracket,
-        mut trace: Trace,
-        probes: Option<BracketProbes>,
-    ) -> Result<PartitionReport> {
-        let target = n as f64;
-        let mut shallow = bracket.shallow;
-        let mut steep = bracket.steep;
-        let interpolate = probes.is_some();
-        // The bounding lines' intersections are cached: after each step one
-        // bound inherits the trial line's freshly computed abscissas, so
-        // every iteration costs p intersection searches instead of 3p.
-        let (mut lo_x, mut hi_x) = probes.unwrap_or_else(|| bracket.probe(funcs));
-        // Bracket-end residuals for the regula-falsi trial: `f_shallow ≥ 0`
-        // (the shallow line overshoots the target), `f_steep ≤ 0`. `side`
-        // remembers which bound the previous step replaced so the Illinois
-        // rule can halve the residual of a bound that survives twice in a
-        // row, which prevents one-sided stagnation.
-        let mut f_shallow = hi_x.iter().sum::<f64>() - target;
-        let mut f_steep = lo_x.iter().sum::<f64>() - target;
-        let mut side = 0i8;
-
-        for step in 1..=self.max_steps {
-            // Stopping criterion (paper §2): every per-processor interval
-            // shorter than one element, i.e. no integer point strictly
-            // inside the region — plus a float-resolution guard.
-            let open = lo_x
-                .iter()
-                .zip(&hi_x)
-                .any(|(&l, &h)| h - l >= 1.0);
-            let resolution_exhausted = steep - shallow <= f64::EPSILON * steep;
-            if !open || resolution_exhausted {
-                let distribution = fine_tune(n, funcs, &lo_x, &hi_x);
-                return Ok(PartitionReport::from_distribution(distribution, funcs, trace));
-            }
-
-            let mut trial = f64::NAN;
-            if interpolate {
-                // Regula falsi: the root of the (monotone) total-vs-slope
-                // residual, linearly interpolated between the bounds.
-                let denom = f_steep - f_shallow;
-                if denom < 0.0 {
-                    trial = (shallow * f_steep - steep * f_shallow) / denom;
-                }
-            }
-            if !(trial > shallow && trial < steep) {
-                trial = self.slope_mode.trial(shallow, steep);
-            }
-            if !(trial > shallow && trial < steep) {
-                // Numerically stuck between representable slopes.
-                let distribution = fine_tune(n, funcs, &lo_x, &hi_x);
-                return Ok(PartitionReport::from_distribution(distribution, funcs, trace));
-            }
-            let xs_trial = intersections_at_slope(funcs, trial);
-            let total: f64 = xs_trial.iter().sum();
-            let undershoot = total < target;
-            trace.iterations.push(IterationRecord {
-                step,
-                lower_slope: shallow,
-                upper_slope: steep,
-                trial_slope: trial,
-                total_elements: total,
-                undershoot,
-            });
-            if undershoot {
-                // Too few elements: the optimal line is shallower.
-                steep = trial;
-                lo_x = xs_trial;
-                f_steep = total - target;
-                if side == -1 {
-                    f_shallow *= 0.5;
-                }
-                side = -1;
-            } else {
-                shallow = trial;
-                hi_x = xs_trial;
-                f_shallow = total - target;
-                if side == 1 {
-                    f_steep *= 0.5;
-                }
-                side = 1;
-            }
-        }
-        Err(Error::NoConvergence { algorithm: "slope bisection", steps: self.max_steps })
-    }
 }
 
 impl Partitioner for BisectionPartitioner {
     fn partition<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
-        validate_processors(funcs)?;
-        if n == 0 {
-            return Ok(empty_report(funcs.len()));
-        }
-        let (bracket, bracket_probes) = bracket_slopes(n, funcs)?;
-        let trace = Trace { bracket_probes, ..Trace::default() };
-        self.partition_from_bracket(n, funcs, bracket, trace, None)
+        cold(Rule::Basic(self.slope_mode), n, funcs)
     }
 
     fn resolve_from<F: CostFunction>(
@@ -216,26 +87,19 @@ impl Partitioner for BisectionPartitioner {
         n: u64,
         funcs: &[F],
     ) -> Result<PartitionReport> {
-        validate_processors(funcs)?;
-        if n == 0 {
-            return Ok(empty_report(funcs.len()));
-        }
-        let seeded = donor_seed(prev, n, funcs).map(|seed| bracket_from_slope(n, funcs, seed));
-        match seeded {
-            Some(Ok((bracket, probes, bracket_probes))) => {
-                let trace = Trace { warm_bracket: true, bracket_probes, ..Trace::default() };
-                self.partition_from_bracket(n, funcs, bracket, trace, Some(probes))
-            }
-            // No usable donor, or a seed that fails to bracket: cold path.
-            _ => self.partition(n, funcs),
-        }
+        warm(Rule::Basic(self.slope_mode), prev, n, funcs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::Error;
+    use crate::partition::initial::bracket_slopes;
+    use crate::partition::oracle;
+    use crate::partition::search::{assert_warm_resolve_is_bit_identical_to_cold, search};
     use crate::speed::{AnalyticSpeed, ConstantSpeed};
+    use crate::trace::Trace;
 
     fn mixed_cluster() -> Vec<AnalyticSpeed> {
         vec![
@@ -287,21 +151,6 @@ mod tests {
     }
 
     #[test]
-    fn angle_and_tangent_agree_for_small_slopes() {
-        // Realistic slopes are ≈ speed/size ≈ 1e-4..1e-7 where tan θ ≈ θ.
-        let funcs = mixed_cluster();
-        let t = BisectionPartitioner::new()
-            .with_slope_mode(SlopeMode::Tangent)
-            .partition(10_000_000, &funcs)
-            .unwrap();
-        let a = BisectionPartitioner::new()
-            .with_slope_mode(SlopeMode::Angle)
-            .partition(10_000_000, &funcs)
-            .unwrap();
-        assert_eq!(t.distribution, a.distribution);
-    }
-
-    #[test]
     fn exp_tail_exhausts_arithmetic_bisection_but_not_geometric() {
         // The paper's worst case: exponentially decaying speeds make the
         // optimal slope exponentially small; arithmetic slope bisection
@@ -312,19 +161,36 @@ mod tests {
             vec![AnalyticSpeed::exp_tail(100.0, 40.0), AnalyticSpeed::exp_tail(100.0, 100.0)];
         let n = 20_000;
         let budget = 64;
-        let arith = BisectionPartitioner::new()
-            .with_max_steps(budget)
-            .partition(n, &funcs);
+        let (bracket, _) = bracket_slopes(n, &funcs).unwrap();
+        let run =
+            |mode| search(Rule::Basic(mode), n, &funcs, bracket, None, Trace::default(), budget);
+        let arith = run(SlopeMode::Tangent);
         assert!(
             matches!(arith, Err(Error::NoConvergence { .. })),
             "arithmetic bisection should blow the small budget: {arith:?}"
         );
+        let geo = run(SlopeMode::Geometric).unwrap();
+        assert_eq!(geo.distribution.total(), n);
+    }
+
+    #[test]
+    fn geometric_mean_splits_brackets_whose_product_underflows() {
+        // At n = 90 000 the initial lines bracket slopes near 1e-283 and
+        // 1e-198, whose product is 0 in f64: the mean must still fall
+        // strictly inside, so the search takes steps and reaches the
+        // oracle's plan.
+        let funcs =
+            vec![AnalyticSpeed::exp_tail(100.0, 40.0), AnalyticSpeed::exp_tail(100.0, 100.0)];
+        let n = 90_000;
+        let (bracket, _) = bracket_slopes(n, &funcs).unwrap();
+        assert_eq!(bracket.shallow * bracket.steep, 0.0);
         let geo = BisectionPartitioner::new()
             .with_slope_mode(SlopeMode::Geometric)
-            .with_max_steps(budget)
             .partition(n, &funcs)
             .unwrap();
-        assert_eq!(geo.distribution.total(), n);
+        assert!(geo.trace.steps() > 0);
+        assert_eq!(geo.distribution, oracle::solve(n, &funcs).unwrap().distribution);
+        assert_eq!(geo.distribution.counts(), &[25740, 64260]);
     }
 
     #[test]
@@ -345,18 +211,7 @@ mod tests {
 
     #[test]
     fn warm_resolve_is_bit_identical_to_cold() {
-        let funcs = mixed_cluster();
-        let p = BisectionPartitioner::new();
-        let base = p.partition(10_000_000, &funcs).unwrap();
-        // Near-duplicate sizes around the donor, plus a far one to force the
-        // widening path; all must match cold solves exactly.
-        for n in [10_000_000u64, 10_000_001, 9_999_000, 10_010_000, 2_000_000] {
-            let cold = p.partition(n, &funcs).unwrap();
-            let warm = p.resolve_from(&base.distribution, n, &funcs).unwrap();
-            assert_eq!(cold.distribution, warm.distribution, "n = {n}");
-            assert_eq!(cold.makespan.to_bits(), warm.makespan.to_bits(), "n = {n}");
-            assert!(warm.trace.warm_bracket, "n = {n}: warm bracket not used");
-        }
+        assert_warm_resolve_is_bit_identical_to_cold(&BisectionPartitioner::new());
     }
 
     #[test]

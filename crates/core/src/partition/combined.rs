@@ -14,36 +14,34 @@
 //! * **upper half** (steeper slopes) *and* all graphs locally non-flat at
 //!   the trial intersections → continue with the basic algorithm;
 //! * otherwise (lower half, or some graph nearly horizontal at its
-//!   intersection) → switch to the modified algorithm.
+//!   intersection: `|s'(x)|·x / s(x) < 0.02`) → switch to the modified
+//!   algorithm.
 //!
-//! As a safety net beyond the paper, if the basic stage exhausts its step
-//! budget the combined partitioner falls back to the modified algorithm
-//! rather than failing.
-//!
-//! That strategy is [`CombinedPartitioner::partition_explain`], kept
-//! paper-literal. [`Partitioner::partition`] starts elsewhere. The Fig. 18
-//! probe already measures every machine's throughput at `n/p`, and the
-//! single-number plan built from those numbers is close to the optimum.
-//! Its [`seed_slope`] seeds the warm-start machinery (ε-bracket, regula
-//! falsi, the shared fine-tuning), which then needs a few steps instead of
-//! the ~35 the initial lines take at `p = 1080`. The integer plan is fixed
-//! by the fine-tuning, not by the starting bracket, so the counts and the
-//! makespan bits are those of `partition_explain`. Whenever seeding,
-//! bracketing or the search fails, `partition` runs `partition_explain`,
-//! so errors are identical too.
+//! As a safety net beyond the paper, if the basic stage exhausts its
+//! 4096-step budget the combined partitioner falls back to the modified
+//! algorithm rather than failing.
 
-use super::bisection::BisectionPartitioner;
-use super::initial::{bracket_from_slope, bracket_slopes, SlopeBracket};
-use super::modified::ModifiedPartitioner;
+use super::bisection::SlopeMode;
+use super::initial::{bracket_from_slope, bracket_slopes, BracketProbes, SlopeBracket};
 use super::problem::{
     donor_seed, empty_report, seed_slope, validate_processors, Distribution, PartitionReport,
     Partitioner,
 };
+use super::search::{search, Rule};
 use super::single_number::SingleNumberPartitioner;
+use crate::cost::CostFunction;
 use crate::error::{Error, Result};
 use crate::geometry::intersections_at_slope;
-use crate::cost::CostFunction;
 use crate::trace::{IterationRecord, Trace};
+
+/// A graph is "horizontal" at `x` when `|s'(x)|·x / s(x)` is below this.
+const FLATNESS_THRESHOLD: f64 = 0.02;
+
+/// Steps of the basic stage before the modified algorithm takes over.
+const BASIC_STEP_BUDGET: usize = 4096;
+
+/// The basic stage: tangent bisection, or regula falsi when seeded.
+const BASIC: Rule = Rule::Basic(SlopeMode::Tangent);
 
 /// Which algorithm the combined strategy selected for a given problem.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,26 +56,25 @@ pub enum CombinedChoice {
 }
 
 /// The hybrid partitioner of paper Fig. 15.
-#[derive(Debug, Clone, Copy)]
-pub struct CombinedPartitioner {
-    /// Relative-log-derivative threshold below which a graph counts as
-    /// "horizontal" at an intersection point: the graph is flat when
-    /// `|s'(x)|·x / s(x)` is below this value.
-    pub flatness_threshold: f64,
-    /// Step budget handed to the basic stage before falling back.
-    pub basic_step_budget: usize,
-}
-
-impl Default for CombinedPartitioner {
-    fn default() -> Self {
-        Self { flatness_threshold: 0.02, basic_step_budget: 4096 }
-    }
-}
+///
+/// The strategy is [`CombinedPartitioner::partition_explain`], kept
+/// paper-literal. [`Partitioner::partition`] starts elsewhere. The Fig. 18
+/// probe already measures every machine's throughput at `n/p`, and the
+/// single-number plan built from those numbers is close to the optimum.
+/// Its [`seed_slope`] seeds the warm-start machinery (ε-bracket, regula
+/// falsi, the shared fine-tuning), which then needs a few steps instead of
+/// the ~35 the initial lines take at `p = 1080`. The integer plan is fixed
+/// by the fine-tuning, not by the starting bracket, so the counts and the
+/// makespan bits are those of `partition_explain`. Whenever seeding,
+/// bracketing or the search fails, `partition` runs `partition_explain`,
+/// so errors are identical too; only the trace differs.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CombinedPartitioner;
 
 impl CombinedPartitioner {
-    /// Creates the partitioner with default thresholds.
+    /// Creates the partitioner.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 
     /// Numerical relative log-derivative `|s'(x)|·x/s(x)` of `f`'s
@@ -137,30 +134,17 @@ impl CombinedPartitioner {
 
         // Decision rule of Fig. 15: upper half with non-flat intersections
         // → basic; otherwise → modified.
-        let any_flat = funcs
-            .iter()
-            .zip(&xs)
-            .any(|(f, &x)| Self::relative_slope(f, x) < self.flatness_threshold);
-        let use_basic = !undershoot && !any_flat;
-
-        if use_basic {
-            let basic = BisectionPartitioner::new().with_max_steps(self.basic_step_budget);
-            match basic.partition_from_bracket(n, funcs, refined, trace.clone(), None) {
-                Ok(report) => return Ok((report, CombinedChoice::Basic)),
-                Err(Error::NoConvergence { .. }) => {
-                    let report = ModifiedPartitioner::new()
-                        .partition_from_bracket(n, funcs, refined, trace, None)?;
-                    return Ok((report, CombinedChoice::FallbackToModified));
-                }
-                Err(e) => return Err(e),
-            }
+        let any_flat =
+            funcs.iter().zip(&xs).any(|(f, &x)| Self::relative_slope(f, x) < FLATNESS_THRESHOLD);
+        if !undershoot && !any_flat {
+            return basic_then_modified(n, funcs, refined, None, trace);
         }
-        let report =
-            ModifiedPartitioner::new().partition_from_bracket(n, funcs, refined, trace, None)?;
+        let budget = Rule::Modified.budget(n, funcs.len());
+        let report = search(Rule::Modified, n, funcs, refined, None, trace, budget)?;
         Ok((report, CombinedChoice::Modified))
     }
 
-    /// The warm machinery: basic bisection from the bracket seeded at
+    /// The warm machinery: the basic stage from the bracket seeded at
     /// `seed`, modified as the usual safety net. `warm` marks a seed taken
     /// from a donor plan in the trace. `None` when the seed fails to
     /// bracket or the search fails: the caller then takes its fallback.
@@ -173,17 +157,30 @@ impl CombinedPartitioner {
     ) -> Option<PartitionReport> {
         let (bracket, probes, bracket_probes) = bracket_from_slope(n, funcs, seed).ok()?;
         let trace = Trace { warm_bracket: warm, bracket_probes, ..Trace::default() };
-        let basic = BisectionPartitioner::new().with_max_steps(self.basic_step_budget);
-        match basic.partition_from_bracket(n, funcs, bracket, trace.clone(), Some(probes)) {
-            Ok(report) => Some(report),
-            // The basic stage spent its whole step budget, so re-sweeping the
-            // two endpoints here costs nothing next to it, and keeping the
-            // probes for this rare path would copy them on every solve.
-            Err(Error::NoConvergence { .. }) => ModifiedPartitioner::new()
-                .partition_from_bracket(n, funcs, bracket, trace, None)
-                .ok(),
-            Err(_) => None,
+        basic_then_modified(n, funcs, bracket, Some(probes), trace).ok().map(|(report, _)| report)
+    }
+}
+
+/// The basic stage within its step budget, then, if it runs out, the
+/// modified algorithm over the same bracket.
+fn basic_then_modified<F: CostFunction>(
+    n: u64,
+    funcs: &[F],
+    bracket: SlopeBracket,
+    probes: Option<BracketProbes>,
+    trace: Trace,
+) -> Result<(PartitionReport, CombinedChoice)> {
+    match search(BASIC, n, funcs, bracket, probes, trace.clone(), BASIC_STEP_BUDGET) {
+        Ok(report) => Ok((report, CombinedChoice::Basic)),
+        // The basic stage spent its whole step budget, so re-sweeping the
+        // two endpoints here costs nothing next to it, and keeping the
+        // probes for this rare path would copy them on every solve.
+        Err(Error::NoConvergence { .. }) => {
+            let budget = Rule::Modified.budget(n, funcs.len());
+            let report = search(Rule::Modified, n, funcs, bracket, None, trace, budget)?;
+            Ok((report, CombinedChoice::FallbackToModified))
         }
+        Err(e) => Err(e),
     }
 }
 
@@ -206,12 +203,6 @@ fn single_number_seed<F: CostFunction>(n: u64, funcs: &[F]) -> Option<f64> {
 }
 
 impl Partitioner for CombinedPartitioner {
-    /// Seeds the warm machinery from the single-number line at `n/p` and
-    /// falls back to the paper-literal
-    /// [`CombinedPartitioner::partition_explain`] whenever seeding,
-    /// bracketing or the search fails. The plan (counts and makespan bits)
-    /// and any error are those of `partition_explain`; only the trace
-    /// differs.
     fn partition<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
         validate_processors(funcs)?;
         if n == 0 {
@@ -229,11 +220,8 @@ impl Partitioner for CombinedPartitioner {
         n: u64,
         funcs: &[F],
     ) -> Result<PartitionReport> {
-        validate_processors(funcs)?;
-        if n == 0 {
-            return Ok(empty_report(funcs.len()));
-        }
-        match donor_seed(prev, n, funcs).and_then(|s| self.solve_from_seed(n, funcs, s, true)) {
+        let seed = if n == 0 { None } else { donor_seed(prev, n, funcs) };
+        match seed.and_then(|s| self.solve_from_seed(n, funcs, s, true)) {
             Some(report) => Ok(report),
             None => self.partition(n, funcs),
         }
@@ -243,6 +231,7 @@ impl Partitioner for CombinedPartitioner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::ModifiedPartitioner;
     use crate::speed::{AnalyticSpeed, ConstantSpeed};
 
     fn mixed_cluster() -> Vec<AnalyticSpeed> {

@@ -32,12 +32,6 @@ impl SlopeBracket {
     pub fn width(&self) -> f64 {
         self.steep - self.shallow
     }
-
-    /// Sweeps both bounds: the per-machine intersections at `steep` and at
-    /// `shallow`, in [`BracketProbes`] order.
-    pub(crate) fn probe<F: CostFunction>(&self, funcs: &[F]) -> BracketProbes {
-        (intersections_at_slope(funcs, self.steep), intersections_at_slope(funcs, self.shallow))
-    }
 }
 
 /// A [`SlopeBracket`]'s per-machine intersection pair: the abscissas at the
@@ -173,54 +167,40 @@ pub fn bracket_from_slope<F: CostFunction>(
     debug_assert!(n > 0 && !funcs.is_empty());
     const EPSILON: f64 = 1e-3;
     const WIDEN_BUDGET: usize = 64;
-    let fail = |algorithm: &'static str, steps: usize| {
-        Err(Error::NoConvergence { algorithm, steps })
-    };
     if !slope.is_finite() || slope <= 0.0 {
-        return fail("bracket_from_slope(seed)", 0);
+        return Err(Error::NoConvergence { algorithm: "bracket_from_slope(seed)", steps: 0 });
     }
     let target = n as f64;
-    let mut up = 1.0 + EPSILON;
-    let mut down = 1.0 - EPSILON;
-    let mut steep = slope * up;
-    let mut shallow = slope * down;
-
-    let mut steep_widenings = 0;
-    let lo_x = loop {
-        let xs = intersections_at_slope(funcs, steep);
-        let total: f64 = xs.iter().sum();
-        if !total.is_finite() {
-            return fail("bracket_from_slope(steep)", steep_widenings);
-        }
-        if total <= target {
-            break xs;
-        }
-        up *= up;
-        steep = slope * up;
-        steep_widenings += 1;
-        if steep_widenings > WIDEN_BUDGET || !steep.is_finite() {
-            return fail("bracket_from_slope(steep)", steep_widenings);
-        }
-    };
-    let mut shallow_widenings = 0;
-    let hi_x = loop {
-        let xs = intersections_at_slope(funcs, shallow);
-        let total: f64 = xs.iter().sum();
-        if !total.is_finite() {
-            return fail("bracket_from_slope(shallow)", shallow_widenings);
-        }
-        if total >= target {
-            break xs;
-        }
-        down *= down;
-        shallow = slope * down;
-        shallow_widenings += 1;
-        if shallow_widenings > WIDEN_BUDGET || shallow <= 0.0 {
-            return fail("bracket_from_slope(shallow)", shallow_widenings);
+    // Squares one side's offset factor until its total lands on its side
+    // of the target: `le` for the steep side, `ge` for the shallow one.
+    let widen = |mut factor: f64,
+                 algorithm: &'static str,
+                 lands: fn(&f64, &f64) -> bool|
+     -> Result<(f64, Vec<f64>, usize)> {
+        let mut steps = 0;
+        loop {
+            let bound = slope * factor;
+            let xs = intersections_at_slope(funcs, bound);
+            let total: f64 = xs.iter().sum();
+            if !total.is_finite() {
+                return Err(Error::NoConvergence { algorithm, steps });
+            }
+            if lands(&total, &target) {
+                return Ok((bound, xs, steps));
+            }
+            factor *= factor;
+            steps += 1;
+            let next = slope * factor;
+            if steps > WIDEN_BUDGET || !next.is_finite() || next <= 0.0 {
+                return Err(Error::NoConvergence { algorithm, steps });
+            }
         }
     };
-    let widenings = steep_widenings + shallow_widenings;
-    Ok((SlopeBracket { shallow, steep }, (lo_x, hi_x), widenings))
+    let (steep, lo_x, steep_widenings) =
+        widen(1.0 + EPSILON, "bracket_from_slope(steep)", f64::le)?;
+    let (shallow, hi_x, shallow_widenings) =
+        widen(1.0 - EPSILON, "bracket_from_slope(shallow)", f64::ge)?;
+    Ok((SlopeBracket { shallow, steep }, (lo_x, hi_x), steep_widenings + shallow_widenings))
 }
 
 #[cfg(test)]

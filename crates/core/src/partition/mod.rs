@@ -37,6 +37,7 @@ mod initial;
 mod modified;
 pub mod oracle;
 mod problem;
+mod search;
 mod secant;
 mod single_number;
 mod workload;

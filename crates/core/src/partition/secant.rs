@@ -15,144 +15,58 @@
 //! there is **no shape-independent superlinearity proof**, which is
 //! exactly why the paper's challenge stays open; the guaranteed-bound
 //! algorithm remains [`super::ModifiedPartitioner`].
+//!
+//! The loop, shared with the basic and modified algorithms, and this
+//! algorithm's trial rule live in `search.rs`.
 
-use super::fine_tune::fine_tune;
-use super::initial::{bracket_slopes, SlopeBracket};
-use super::problem::{empty_report, validate_processors, PartitionReport, Partitioner};
-use crate::error::{Error, Result};
+use super::problem::{Distribution, PartitionReport, Partitioner};
+use super::search::{cold, warm, Rule};
 use crate::cost::CostFunction;
-use crate::geometry::intersections_at_slope;
-use crate::trace::{IterationRecord, Trace};
+use crate::error::Result;
 
 /// Regula-falsi (Illinois) partitioner in log-slope space, exposed
 /// through the planner registry as `secant`.
 ///
 /// **Guarantees.** Exact in the same sense as the other geometric
-/// partitioners: the bracket only ever shrinks around the optimal slope,
-/// and the run finishes with the paper's fine-tuning over the final
-/// integer candidates, so the result lands within the integer-rounding
-/// envelope of the continuous optimum (oracle-checked in the conformance
-/// sweep). Illinois damping keeps every step's bracket reduction at least
-/// a constant factor, so the step count is never worse than a constant
-/// multiple of plain bisection on the same bracket; convergence is
-/// superlinear *in practice* but carries no shape-independent
-/// superlinearity proof (the paper's "ideal algorithm" challenge).
-#[derive(Debug, Clone, Copy)]
-pub struct SecantPartitioner {
-    /// Step budget.
-    pub max_steps: usize,
-}
-
-impl Default for SecantPartitioner {
-    fn default() -> Self {
-        Self { max_steps: 10_000 }
-    }
-}
+/// partitioners: the bracket only ever shrinks around the optimal slope
+/// and the run ends in the paper's fine-tuning, so the plan lands within
+/// the integer-rounding envelope of the continuous optimum
+/// (oracle-checked in the conformance sweep). Superlinear *in practice*,
+/// with no shape-independent proof: the paper's "ideal algorithm"
+/// challenge stays open.
+///
+/// [`Partitioner::resolve_from`] searches an ε-bracket seeded from the
+/// donor plan and returns the cold plan. A search gives up with
+/// [`crate::error::Error::NoConvergence`] after 10 000 steps.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SecantPartitioner;
 
 impl SecantPartitioner {
-    /// Creates the partitioner with the default budget.
+    /// Creates the partitioner.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the step budget.
-    pub fn with_max_steps(mut self, max_steps: usize) -> Self {
-        assert!(max_steps > 0);
-        self.max_steps = max_steps;
-        self
-    }
-
-    /// Runs from an explicit bracket.
-    pub fn partition_from_bracket<F: CostFunction>(
-        &self,
-        n: u64,
-        funcs: &[F],
-        bracket: SlopeBracket,
-        mut trace: Trace,
-    ) -> Result<PartitionReport> {
-        let target = n as f64;
-        // Work in log-slope: u = ln c. Residual r(u) = Σ x_i(e^u) − n is
-        // decreasing in u.
-        let mut u_lo = bracket.shallow.ln(); // r ≥ 0
-        let mut u_hi = bracket.steep.ln(); // r ≤ 0
-        // Bound intersections are cached across iterations; the residuals
-        // derive from their sums.
-        let mut hi_x = intersections_at_slope(funcs, bracket.shallow);
-        let mut lo_x = intersections_at_slope(funcs, bracket.steep);
-        let mut r_lo = hi_x.iter().sum::<f64>() - target;
-        let mut r_hi = lo_x.iter().sum::<f64>() - target;
-        // Illinois side marker: which endpoint was kept last.
-        let mut last_kept: i8 = 0;
-        for step in 1..=self.max_steps {
-            let shallow = u_lo.exp();
-            let steep = u_hi.exp();
-            let open = lo_x.iter().zip(&hi_x).any(|(&l, &h)| h - l >= 1.0);
-            if !open || u_hi - u_lo <= f64::EPSILON {
-                let distribution = fine_tune(n, funcs, &lo_x, &hi_x);
-                return Ok(PartitionReport::from_distribution(distribution, funcs, trace));
-            }
-
-            // False-position interpolation in (u, r); fall back to the
-            // midpoint when the residuals are degenerate.
-            let denom = r_lo - r_hi;
-            let mut u_new = if denom.abs() > 0.0 && denom.is_finite() {
-                u_lo + (u_hi - u_lo) * r_lo / denom
-            } else {
-                0.5 * (u_lo + u_hi)
-            };
-            if !(u_new > u_lo && u_new < u_hi) {
-                u_new = 0.5 * (u_lo + u_hi);
-            }
-            let c_new = u_new.exp();
-            let xs_new = intersections_at_slope(funcs, c_new);
-            let total: f64 = xs_new.iter().sum();
-            let r_new = total - target;
-            trace.iterations.push(IterationRecord {
-                step,
-                lower_slope: shallow,
-                upper_slope: steep,
-                trial_slope: c_new,
-                total_elements: total,
-                undershoot: r_new < 0.0,
-            });
-            if r_new < 0.0 {
-                u_hi = u_new;
-                r_hi = r_new;
-                lo_x = xs_new;
-                if last_kept == -1 {
-                    // Illinois: halve the retained endpoint's residual so
-                    // the stale end cannot pin the bracket.
-                    r_lo *= 0.5;
-                }
-                last_kept = -1;
-            } else {
-                u_lo = u_new;
-                r_lo = r_new;
-                hi_x = xs_new;
-                if last_kept == 1 {
-                    r_hi *= 0.5;
-                }
-                last_kept = 1;
-            }
-        }
-        Err(Error::NoConvergence { algorithm: "regula falsi", steps: self.max_steps })
+        Self
     }
 }
 
 impl Partitioner for SecantPartitioner {
     fn partition<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
-        validate_processors(funcs)?;
-        if n == 0 {
-            return Ok(empty_report(funcs.len()));
-        }
-        let (bracket, bracket_probes) = bracket_slopes(n, funcs)?;
-        self.partition_from_bracket(n, funcs, bracket, Trace { bracket_probes, ..Trace::default() })
+        cold(Rule::Secant, n, funcs)
+    }
+
+    fn resolve_from<F: CostFunction>(
+        &self,
+        prev: &Distribution,
+        n: u64,
+        funcs: &[F],
+    ) -> Result<PartitionReport> {
+        warm(Rule::Secant, prev, n, funcs)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::partition::search::assert_warm_resolve_is_bit_identical_to_cold;
     use crate::partition::{oracle, BisectionPartitioner};
     use crate::speed::{AnalyticSpeed, ConstantSpeed};
 
@@ -214,6 +128,28 @@ mod tests {
     }
 
     #[test]
+    fn stops_at_slope_resolution_past_a_billion_elements() {
+        // The intersections resolve x only to ~1e-9·x, about two elements
+        // here, so an interval can stay one element wide between adjacent
+        // slopes and only the slope-resolution guard ends the search.
+        let funcs = mixed_cluster();
+        let n = 2_000_000_000;
+        let secant = SecantPartitioner::new().partition(n, &funcs).unwrap();
+        let basic = BisectionPartitioner::new().partition(n, &funcs).unwrap();
+        assert_eq!(secant.distribution.counts(), &[13668054, 1925256457, 46313107, 14762382]);
+        assert_eq!(secant.distribution, basic.distribution);
+        assert_eq!(secant.makespan.to_bits(), basic.makespan.to_bits());
+    }
+
+    #[test]
+    fn stops_at_slope_resolution_near_2_pow_60() {
+        // The plan `combined` returns for the same cluster and size.
+        let funcs = vec![ConstantSpeed::new(3.0), ConstantSpeed::new(1.0)];
+        let r = SecantPartitioner::new().partition((1u64 << 60) - 1, &funcs).unwrap();
+        assert_eq!(r.distribution.counts(), &[864691128455135248, 288230376151711727]);
+    }
+
+    #[test]
     fn constant_speeds_exact() {
         let funcs = vec![ConstantSpeed::new(100.0), ConstantSpeed::new(50.0)];
         let r = SecantPartitioner::new().partition(3000, &funcs).unwrap();
@@ -227,5 +163,10 @@ mod tests {
         let funcs = vec![ConstantSpeed::new(1.0)];
         let r = SecantPartitioner::new().partition(0, &funcs).unwrap();
         assert_eq!(r.distribution.total(), 0);
+    }
+
+    #[test]
+    fn warm_resolve_is_bit_identical_to_cold() {
+        assert_warm_resolve_is_bit_identical_to_cold(&SecantPartitioner::new());
     }
 }

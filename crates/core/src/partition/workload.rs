@@ -36,22 +36,19 @@ use crate::error::Result;
 /// optimal sort partition shifts work towards fast machines slightly
 /// more aggressively than the linear partition does.
 #[derive(Debug, Clone, Copy, Default)]
-pub struct SortSamplePartitioner {
-    inner: CombinedPartitioner,
-}
+pub struct SortSamplePartitioner;
 
 impl SortSamplePartitioner {
-    /// Creates the partitioner with the default combined-solver
-    /// configuration.
+    /// Creates the partitioner.
     pub fn new() -> Self {
-        Self::default()
+        Self
     }
 }
 
 impl Partitioner for SortSamplePartitioner {
     fn partition<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
         let wrapped: Vec<SortCost<'_, F>> = funcs.iter().map(SortCost::new).collect();
-        self.inner.partition(n, &wrapped)
+        CombinedPartitioner.partition(n, &wrapped)
     }
 
     fn resolve_from<F: CostFunction>(
@@ -61,7 +58,7 @@ impl Partitioner for SortSamplePartitioner {
         funcs: &[F],
     ) -> Result<PartitionReport> {
         let wrapped: Vec<SortCost<'_, F>> = funcs.iter().map(SortCost::new).collect();
-        self.inner.resolve_from(prev, n, &wrapped)
+        CombinedPartitioner.resolve_from(prev, n, &wrapped)
     }
 }
 
@@ -78,12 +75,11 @@ pub const DEFAULT_QUERY_GAMMA: f64 = 0.5;
 #[derive(Debug, Clone, Copy)]
 pub struct QueryPartitioner {
     gamma: f64,
-    inner: CombinedPartitioner,
 }
 
 impl Default for QueryPartitioner {
     fn default() -> Self {
-        Self { gamma: DEFAULT_QUERY_GAMMA, inner: CombinedPartitioner::default() }
+        Self { gamma: DEFAULT_QUERY_GAMMA }
     }
 }
 
@@ -117,7 +113,7 @@ impl Partitioner for QueryPartitioner {
     fn partition<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
         let wrapped: Vec<QueryCost<'_, F>> =
             funcs.iter().map(|f| QueryCost::new(f, self.gamma)).collect();
-        self.inner.partition(n, &wrapped)
+        CombinedPartitioner.partition(n, &wrapped)
     }
 
     fn resolve_from<F: CostFunction>(
@@ -128,7 +124,7 @@ impl Partitioner for QueryPartitioner {
     ) -> Result<PartitionReport> {
         let wrapped: Vec<QueryCost<'_, F>> =
             funcs.iter().map(|f| QueryCost::new(f, self.gamma)).collect();
-        self.inner.resolve_from(prev, n, &wrapped)
+        CombinedPartitioner.resolve_from(prev, n, &wrapped)
     }
 }
 

@@ -16,6 +16,7 @@ use fpm_testkit::conformance::{
     run_cost_conformance, run_seeded_cold_sweep, ConformanceConfig,
 };
 use fpm_testkit::fault::{assert_no_panic, FaultKind, FaultyMeasurer};
+use fpm_testkit::GenConfig;
 
 // ---------------------------------------------------------------------------
 // Differential conformance sweep
@@ -30,6 +31,25 @@ fn conformance_sweep_all_partitioners_match_oracle() {
     };
     let report = run_conformance(&config);
     eprintln!("conformance: {}", report.summary());
+    assert!(report.cases_run >= config.cases);
+    report.assert_ok();
+}
+
+/// The same sweep at the sizes of the paper's Fig. 21 (n from 10⁹ to
+/// 10^9.5, where the default generator stops at 10^8.5). There the
+/// intersections resolve a size only to a few elements, so only the
+/// slope-resolution guard can end a slope search whose interval stays one
+/// element wide. Scaled with `FPM_TESTKIT_CASES` like the full sweep.
+#[test]
+fn conformance_sweep_at_fig21_sizes() {
+    let config = ConformanceConfig {
+        cases: env_cases(60),
+        base_seed: env_base_seed(0xB16_0000_0001),
+        gen: GenConfig { n_log10: (9.0, 9.5), ..GenConfig::default() },
+        ..ConformanceConfig::default()
+    };
+    let report = run_conformance(&config);
+    eprintln!("conformance at Fig. 21 sizes: {}", report.summary());
     assert!(report.cases_run >= config.cases);
     report.assert_ok();
 }
