@@ -8,6 +8,8 @@
 //!   `p = 1080`, `n = 2·10⁹`, against the paper-literal Fig. 15 strategy
 //!   (`partition_explain`) with and without closed-form intersections (the
 //!   numeric path is the seed behaviour);
+//! * the paper's fine-tuning alone on the same problem, from its real
+//!   optimum, against the whole seeded solve;
 //! * whole-cluster model building (paper §3.1) on the Table 2 testbed,
 //!   pooled vs sequential;
 //! * the packed `matmul_abt_blocked` kernel vs the seed's plain tiled
@@ -18,7 +20,9 @@
 
 use std::time::Instant;
 
-use fpm_core::partition::{CombinedPartitioner, Partitioner, SortSamplePartitioner};
+use fpm_core::partition::{
+    fine_tune, oracle, CombinedPartitioner, Partitioner, SortSamplePartitioner,
+};
 use fpm_core::speed::builder::BuilderConfig;
 use fpm_core::speed::{PiecewiseLinearSpeed, SpeedFunction};
 use fpm_exec::model_build::{build_cluster_models, build_cluster_models_seq};
@@ -79,6 +83,10 @@ pub struct BenchPartitionResults {
     /// and size, solved in the `x·log x` time domain through the
     /// cost-function path (the seed had no solver for this shape).
     pub partition_sort_ns: u128,
+    /// `fine_tune` of the `BENCH_N` problem from its real optimum
+    /// (`oracle::solve_real`, `lo = hi`), which leaves the ~p/2 residue a
+    /// converged search leaves.
+    pub partition_fine_tune_ns: u128,
     /// Machines in the model-build measurement.
     pub build_machines: usize,
     /// Whole-cluster model build on the worker pool.
@@ -162,6 +170,16 @@ pub fn measure() -> BenchPartitionResults {
     run_sort();
     let partition_sort_ns = median_ns(9, run_sort);
 
+    // Fine-tuning alone, from the real optimum: short enough for the
+    // warm rows' sample count.
+    let (optimum, _) = oracle::solve_real(BENCH_N, &funcs).unwrap();
+    let run_fine_tune = || {
+        let d = fine_tune(BENCH_N, &funcs, &optimum, &optimum);
+        assert_eq!(d.total(), BENCH_N);
+    };
+    run_fine_tune();
+    let partition_fine_tune_ns = median_ns(25, run_fine_tune);
+
     // A cluster and builder budget large enough for per-machine work to
     // dominate the pool's per-task overhead (the default config finishes a
     // machine in microseconds).
@@ -223,6 +241,7 @@ pub fn measure() -> BenchPartitionResults {
         partition_cold_near_ns,
         partition_warm_ns,
         partition_sort_ns,
+        partition_fine_tune_ns,
         build_machines: specs.len(),
         build_pooled_ns,
         build_seq_ns,
@@ -249,6 +268,7 @@ pub fn to_json(r: &BenchPartitionResults) -> Json {
                 ("cold_near_median_ns".into(), ns(r.partition_cold_near_ns)),
                 ("warm_median_ns".into(), ns(r.partition_warm_ns)),
                 ("sort_median_ns".into(), ns(r.partition_sort_ns)),
+                ("fine_tune_median_ns".into(), ns(r.partition_fine_tune_ns)),
             ]),
         ),
         (
@@ -309,6 +329,12 @@ pub fn run() -> Report {
         fnum(speedup(results.partition_sort_ns, results.partition_optimized_ns), 2),
     ]);
     r.push_row(vec![
+        format!("partition fine-tune only p={BENCH_P} n={BENCH_N}"),
+        results.partition_fine_tune_ns.to_string(),
+        results.partition_optimized_ns.to_string(),
+        fnum(speedup(results.partition_optimized_ns, results.partition_fine_tune_ns), 2),
+    ]);
+    r.push_row(vec![
         format!(
             "model_build {} machines / {} workers",
             results.build_machines, results.build_workers
@@ -330,6 +356,7 @@ pub fn run() -> Report {
     r.note("baselines are the seed behaviours: the paper-literal strategy over numeric probes, sequential build, plain tiled loop");
     r.note("the seeded-vs-paper row compares the default solve with the paper-literal Fig. 15 strategy on the same optimised models; the warm-start row's baseline is the seeded cold solve");
     r.note("the sort-sample row compares the nonlinear cost-domain solve against the linear solve (its ratio is the transform's overhead, not a speedup)");
+    r.note("the fine-tune row times fine-tuning from the real optimum against the whole seeded solve (its ratio is the solve's multiple of one fine-tuning, not a speedup)");
     r
 }
 
@@ -346,6 +373,7 @@ mod tests {
             partition_cold_near_ns: 7,
             partition_warm_ns: 8,
             partition_sort_ns: 9,
+            partition_fine_tune_ns: 11,
             build_machines: 12,
             build_pooled_ns: 3,
             build_seq_ns: 4,
@@ -365,6 +393,7 @@ mod tests {
         assert_eq!(at("partition", "cold_near_median_ns"), Some(7));
         assert_eq!(at("partition", "warm_median_ns"), Some(8));
         assert_eq!(at("partition", "sort_median_ns"), Some(9));
+        assert_eq!(at("partition", "fine_tune_median_ns"), Some(11));
         assert_eq!(at("model_build", "sequential_median_ns"), Some(4));
         assert_eq!(at("matmul", "loop_median_ns"), Some(6));
         // Envelope carries version + commit.

@@ -37,7 +37,7 @@
 //! `n` (paper Fig. 4). Algorithms provided:
 //!
 //! * [`partition::SingleNumberPartitioner`] — the classical constant-speed
-//!   baseline (naive `O(p²)` and heap-based `O(p·log p)` variants);
+//!   baseline (naive `O(p²)` and `O(p·log p)` variants);
 //! * [`partition::BisectionPartitioner`] — slope bisection of the region
 //!   between two origin lines; best-case `O(p·log n)` (paper Figs. 7–8);
 //! * [`partition::ModifiedPartitioner`] — bisection of the discrete *space
@@ -51,9 +51,12 @@
 //!
 //! All iterative partitioners finish with the paper's *fine-tuning*
 //! procedure ([`partition::fine_tune`]): once no integer-abscissa point lies
-//! strictly inside the current region, the `2p` nearest integer candidates
-//! are ranked by execution time and the best consistent integer allocation
-//! is chosen.
+//! strictly inside the current region, the floors of the lower
+//! intersections are topped up with the `r` integer candidates of least
+//! execution time, picked by selection in `O(p)` (a heap takes over when
+//! one processor must take two), which is the best consistent integer
+//! allocation. The report's makespan reuses the times fine-tuning
+//! evaluated.
 //!
 //! ## Building the model
 //!

@@ -106,8 +106,7 @@ pub fn partition_bounded<F: CostFunction>(
 
     let lo_x = capped_intersections(funcs, caps, steep);
     let hi_x = capped_intersections(funcs, caps, shallow);
-    let distribution = fine_tune_capped(n, funcs, &lo_x, &hi_x, Some(caps))?;
-    Ok(PartitionReport::from_distribution(distribution, funcs, Trace::default()))
+    Ok(fine_tune_capped(n, funcs, &lo_x, &hi_x, Some(caps))?.into_report(funcs, Trace::default()))
 }
 
 /// [`Partitioner`](crate::partition::Partitioner) adapter over [`partition_bounded`], exposed through the

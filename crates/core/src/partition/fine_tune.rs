@@ -9,35 +9,131 @@
 //!
 //! This implementation generalises the procedure slightly so that it is
 //! robust to arbitrary rounding residue: starting from the floor of every
-//! lower intersection it distributes the remaining `n − Σ⌊lo_i⌋` elements
-//! one at a time, always to the processor whose *post-increment* execution
-//! time is smallest (a heap-based greedy, optimal for min-max objectives
-//! with increasing per-processor time functions). If the floors overshoot
-//! `n`, elements are removed from the processors with the largest current
-//! time. Both loops touch `O(p + residue)` heap entries with
-//! `residue ≤ 2p` whenever the bounding lines genuinely bracket `n`, so
-//! the overall cost matches the paper's `O(p·log p)` bound.
+//! lower intersection it hands out the remaining `r = n − Σ⌊lo_i⌋`
+//! elements one at a time, always to the processor whose *post-increment*
+//! execution time (its *key*) is smallest, ties to the lower index (a
+//! greedy, optimal for min-max objectives with increasing per-processor
+//! time functions). If the floors overshoot `n`, elements are removed
+//! through a heap from the processors with the largest current time.
+//!
+//! The greedy needs no heap when no processor takes two elements
+//! ([`assign_residue`]). Every processor's key is evaluated once, and the
+//! `r` smallest keys, ordered by time (`total_cmp`) and then index, are
+//! picked by selection in `O(p)`. Then each pick's *following* key, its
+//! time after a second element, is evaluated. If every following key lies
+//! strictly above the `r`-th key in that order, the picks are exactly the
+//! greedy's first `r` choices: before each choice the candidates are the
+//! unpicked keys and the following keys, all above the `r`-th key, and
+//! the picks not yet taken, all at or below it, so the smallest pick left
+//! is taken next. Otherwise (`r` exceeds the candidates, or a processor
+//! must take two elements) a binary heap built from the keys already
+//! evaluated runs the greedy, in `O((p + r)·log p)`. The selection path
+//! evaluates the `p + r` times the heap alone would; the heap after a
+//! failed check spends up to `r` more. A converged bracket leaves `r < p`,
+//! so the usual cost is `O(p)`, below the paper's sort.
+//!
+//! The times at the final counts of the processors that took a residue
+//! element are the keys of their last element, so the report's makespan
+//! ([`Tuned::into_report`]) evaluates only the other processors, folding
+//! the same values in the same order as [`Distribution::makespan`].
 
-use std::cmp::Reverse;
+use std::cmp::{Ordering, Reverse};
 use std::collections::BinaryHeap;
 
-use super::problem::Distribution;
-use crate::error::{Error, Result};
+use super::problem::{Distribution, PartitionReport};
 use crate::cost::CostFunction;
+use crate::error::{Error, Result};
+use crate::trace::Trace;
 
-/// Total-ordering wrapper for `f64` heap keys.
+/// Total-ordering wrapper for `f64` keys. Paired with a processor index,
+/// it orders keys by `total_cmp`, then index: the greedy's order.
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct OrdF64(f64);
 
 impl Eq for OrdF64 {}
 impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
 impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+    fn cmp(&self, other: &Self) -> Ordering {
         self.0.total_cmp(&other.0)
+    }
+}
+
+/// Hands `residue` elements to `counts` one at a time, each to the
+/// processor with the smallest key `next(i, c)`, its cost of taking
+/// element `c + 1` (`None` when it can take no more), ties to the lower
+/// index. Shared by fine-tuning and the single-number baseline; the module
+/// docs explain the selection and when the heap takes over.
+///
+/// Returns the key of each receiving processor's last element, paired with
+/// its index, or `None` when the candidates run out first.
+pub(crate) fn assign_residue(
+    counts: &mut [u64],
+    residue: u64,
+    next: impl Fn(usize, u64) -> Option<f64>,
+) -> Option<Vec<(f64, usize)>> {
+    if residue == 0 {
+        return Some(Vec::new());
+    }
+    let mut keys: Vec<(OrdF64, usize)> = counts
+        .iter()
+        .enumerate()
+        .filter_map(|(i, &c)| Some((OrdF64(next(i, c)?), i)))
+        .collect();
+    let r = usize::try_from(residue).unwrap_or(usize::MAX);
+    if r <= keys.len() {
+        let threshold = *keys.select_nth_unstable(r - 1).1;
+        let picks = &keys[..r];
+        let exact = picks
+            .iter()
+            .all(|&(_, i)| next(i, counts[i] + 1).map_or(true, |f| (OrdF64(f), i) > threshold));
+        if exact {
+            for &(_, i) in picks {
+                counts[i] += 1;
+            }
+            keys.truncate(r);
+            return Some(keys.into_iter().map(|(OrdF64(k), i)| (k, i)).collect());
+        }
+    }
+    let mut heap: BinaryHeap<Reverse<(OrdF64, usize)>> = keys.into_iter().map(Reverse).collect();
+    let mut last = vec![None; counts.len()];
+    for _ in 0..residue {
+        let Reverse((OrdF64(k), i)) = heap.pop()?;
+        counts[i] += 1;
+        last[i] = Some(k);
+        if let Some(f) = next(i, counts[i]) {
+            heap.push(Reverse((OrdF64(f), i)));
+        }
+    }
+    Some(last.into_iter().enumerate().filter_map(|(i, k)| Some((k?, i))).collect())
+}
+
+/// A fine-tuned plan and the execution times fine-tuning evaluated at its
+/// final counts.
+#[derive(Debug)]
+pub(crate) struct Tuned {
+    pub(crate) distribution: Distribution,
+    /// `time_i(x_i)` of each processor that took a residue element.
+    known: Vec<Option<f64>>,
+}
+
+impl Tuned {
+    /// The plan's report. Its makespan folds the same times in the same
+    /// order as [`Distribution::makespan`], so it has the same bits, but
+    /// evaluates only the processors whose time is not known yet.
+    pub(crate) fn into_report<F: CostFunction>(self, funcs: &[F], trace: Trace) -> PartitionReport {
+        let Tuned { distribution, known } = self;
+        let makespan = distribution
+            .counts()
+            .iter()
+            .zip(funcs)
+            .zip(known)
+            .map(|((&x, f), t)| t.unwrap_or_else(|| f.time(x as f64)))
+            .fold(0.0, f64::max);
+        PartitionReport { distribution, makespan, trace }
     }
 }
 
@@ -47,6 +143,11 @@ impl Ord for OrdF64 {
 /// `lo` and `hi` are the intersection abscissas of each graph with the
 /// steeper and shallower bounding lines respectively.
 pub fn fine_tune<F: CostFunction>(n: u64, funcs: &[F], lo: &[f64], hi: &[f64]) -> Distribution {
+    tune(n, funcs, lo, hi).distribution
+}
+
+/// [`fine_tune`], keeping the times it evaluated for the report.
+pub(crate) fn tune<F: CostFunction>(n: u64, funcs: &[F], lo: &[f64], hi: &[f64]) -> Tuned {
     fine_tune_capped(n, funcs, lo, hi, None)
         .expect("uncapped fine-tuning cannot run out of capacity")
 }
@@ -63,7 +164,7 @@ pub(crate) fn fine_tune_capped<F: CostFunction>(
     lo: &[f64],
     hi: &[f64],
     caps: Option<&[u64]>,
-) -> Result<Distribution> {
+) -> Result<Tuned> {
     let p = funcs.len();
     assert_eq!(lo.len(), p, "lower bounds length mismatch");
     assert_eq!(hi.len(), p, "upper bounds length mismatch");
@@ -81,24 +182,16 @@ pub(crate) fn fine_tune_capped<F: CostFunction>(
         .map(|i| (lo[i].max(0.0).floor() as u64).min(cap_of(i)))
         .collect();
     let mut assigned: u64 = counts.iter().sum();
+    let mut known = vec![None; p];
 
     if assigned < n {
-        // Distribute the residue greedily: always to the processor whose
-        // time *after* receiving one more element is smallest.
-        let mut heap: BinaryHeap<Reverse<(OrdF64, usize)>> = (0..p)
-            .filter(|&i| counts[i] < cap_of(i))
-            .map(|i| Reverse((OrdF64(funcs[i].time((counts[i] + 1) as f64)), i)))
-            .collect();
-        while assigned < n {
-            let Some(Reverse((_, i))) = heap.pop() else {
-                let capacity: u64 = counts.iter().sum();
-                return Err(Error::InsufficientCapacity { requested: n, available: capacity });
-            };
-            counts[i] += 1;
-            assigned += 1;
-            if counts[i] < cap_of(i) {
-                heap.push(Reverse((OrdF64(funcs[i].time((counts[i] + 1) as f64)), i)));
-            }
+        let next = |i: usize, c: u64| (c < cap_of(i)).then(|| funcs[i].time((c + 1) as f64));
+        let Some(last) = assign_residue(&mut counts, n - assigned, next) else {
+            let capacity: u64 = counts.iter().sum();
+            return Err(Error::InsufficientCapacity { requested: n, available: capacity });
+        };
+        for (t, i) in last {
+            known[i] = Some(t);
         }
     } else if assigned > n {
         // Remove the overshoot from the processors with the largest times.
@@ -117,13 +210,90 @@ pub(crate) fn fine_tune_capped<F: CostFunction>(
     }
 
     debug_assert_eq!(counts.iter().sum::<u64>(), n);
-    Ok(Distribution::new(counts))
+    Ok(Tuned { distribution: Distribution::new(counts), known })
 }
 
 #[cfg(test)]
 mod tests {
+    use std::cell::Cell;
+
     use super::*;
-    use crate::speed::ConstantSpeed;
+    use crate::partition::{oracle, CombinedPartitioner, Partitioner};
+    use crate::speed::{ConstantSpeed, PiecewiseLinearSpeed};
+
+    /// The Fig. 21 cluster of `repro fig21` and `repro bench_partition`:
+    /// five-knot speeds whose peaks and knees cycle with the index.
+    fn fig21_cluster(p: usize) -> Vec<PiecewiseLinearSpeed> {
+        (0..p)
+            .map(|i| {
+                let peak = 60.0 + (i % 97) as f64 * 2.5;
+                let knee = 2e7 * (1.0 + (i % 13) as f64);
+                PiecewiseLinearSpeed::new(vec![
+                    (1e4, peak),
+                    (knee * 0.5, peak * 0.97),
+                    (knee, peak * 0.9),
+                    (knee * 2.0, peak * 0.2),
+                    (knee * 4.0, 0.0),
+                ])
+                .unwrap()
+            })
+            .collect()
+    }
+
+    /// Counts the `time` evaluations of the model it wraps.
+    struct CountingTime<'a> {
+        inner: &'a PiecewiseLinearSpeed,
+        calls: &'a Cell<u64>,
+    }
+
+    impl CostFunction for CountingTime<'_> {
+        fn time(&self, x: f64) -> f64 {
+            self.calls.set(self.calls.get() + 1);
+            CostFunction::time(self.inner, x)
+        }
+        fn max_size(&self) -> f64 {
+            CostFunction::max_size(self.inner)
+        }
+    }
+
+    #[test]
+    fn converged_residue_evaluates_what_the_heap_did_and_the_makespan_the_rest() {
+        // The real optimum as both bounds is a converged bracket: it
+        // leaves the ~p/2 residue a converged search leaves.
+        let (p, n) = (1080, 2_000_000_000u64);
+        let cluster = fig21_cluster(p);
+        let (xs, _) = oracle::solve_real(n, &cluster).unwrap();
+        let r = n - xs.iter().map(|x| x.floor() as u64).sum::<u64>();
+        assert!(r > 100 && r < p as u64, "residue {r}");
+        let calls = Cell::new(0);
+        let counting: Vec<CountingTime<'_>> =
+            cluster.iter().map(|inner| CountingTime { inner, calls: &calls }).collect();
+
+        // Each machine's key, then each pick's following key: p + r, as
+        // the heap's fill and pushes.
+        let tuned = tune(n, &counting, &xs, &xs);
+        assert_eq!(calls.get(), p as u64 + r);
+        calls.set(0);
+        let report = tuned.into_report(&counting, Trace::default());
+        assert_eq!(calls.get(), p as u64 - r, "only machines without a residue element");
+        assert_eq!(report.makespan.to_bits(), report.distribution.makespan(&cluster).to_bits());
+        assert_eq!(report.distribution, fine_tune(n, &cluster, &xs, &xs));
+    }
+
+    #[test]
+    fn search_reports_carry_the_plans_makespan_bits() {
+        let (p, n) = (1080, 2_000_000_000u64);
+        let cluster = fig21_cluster(p);
+        let combined = CombinedPartitioner::new();
+        let cold = combined.partition(n, &cluster).unwrap();
+        let warm = combined.resolve_from(&cold.distribution, n + n / 1000, &cluster).unwrap();
+        let paper = combined.partition_explain(n, &cluster).unwrap().0;
+        let reference = oracle::solve(n, &cluster).unwrap();
+        for report in [cold, warm, paper, reference] {
+            let plan = report.distribution.makespan(&cluster);
+            assert_eq!(report.makespan.to_bits(), plan.to_bits());
+        }
+    }
 
     #[test]
     fn exact_floors_need_no_adjustment() {
@@ -165,7 +335,8 @@ mod tests {
     fn caps_are_respected() {
         let funcs = vec![ConstantSpeed::new(100.0), ConstantSpeed::new(1.0)];
         let d = fine_tune_capped(20, &funcs, &[15.0, 1.0], &[19.0, 3.0], Some(&[12, 100]))
-            .unwrap();
+            .unwrap()
+            .distribution;
         assert_eq!(d.total(), 20);
         assert!(d.counts()[0] <= 12);
     }

@@ -10,7 +10,7 @@
 //! against which every production algorithm is verified — together with a
 //! local-exchange optimality check for integer allocations.
 
-use super::fine_tune::fine_tune;
+use super::fine_tune::tune;
 use super::initial::bracket_slopes;
 use super::problem::{empty_report, validate_processors, Distribution, PartitionReport};
 use crate::error::{Error, Result};
@@ -106,8 +106,7 @@ pub fn solve<F: CostFunction>(n: u64, funcs: &[F]) -> Result<PartitionReport> {
         return Ok(empty_report(funcs.len()));
     }
     let s = bisect_slope(n, funcs, true)?;
-    let distribution = fine_tune(n, funcs, &s.lo_x, &s.hi_x);
-    let report = PartitionReport::from_distribution(distribution, funcs, Trace::default());
+    let report = tune(n, funcs, &s.lo_x, &s.hi_x).into_report(funcs, Trace::default());
     if !report.makespan.is_finite() {
         // A model that degenerates (NaN/∞ speed) inside the allocated range
         // must surface as an error, not as a silently corrupt makespan.

@@ -14,7 +14,7 @@
 //! name.
 
 use super::bisection::SlopeMode;
-use super::fine_tune::fine_tune;
+use super::fine_tune::tune;
 use super::initial::{bracket_from_slope, bracket_slopes, BracketProbes, SlopeBracket};
 use super::problem::{
     donor_seed, empty_report, validate_processors, Distribution, PartitionReport,
@@ -190,8 +190,7 @@ pub(crate) fn search<F: CostFunction>(
         let resolved = region.steep - region.shallow <= f64::EPSILON * region.steep;
         let trial = if resolved { None } else { rule.trial(&region, funcs) };
         let Some(trial) = trial.filter(|&t| region.inside(t)) else {
-            let distribution = fine_tune(n, funcs, &region.lo_x, &region.hi_x);
-            return Ok(PartitionReport::from_distribution(distribution, funcs, trace));
+            return Ok(tune(n, funcs, &region.lo_x, &region.hi_x).into_report(funcs, trace));
         };
         let xs = sweep(trial);
         let total: f64 = xs.iter().sum();

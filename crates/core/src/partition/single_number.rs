@@ -11,11 +11,11 @@
 //!
 //! Two rounding variants are provided, matching the complexities quoted in
 //! paper §2: the naive incremental `O(p²)` algorithm of reference \[6\] and
-//! the heap-based `O(p·log p)` refinement.
+//! the `O(p·log p)` refinement, here the fine-tuning's residue routine
+//! (`O(p)` selection, or a heap when one processor must take two
+//! elements).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
+use super::fine_tune::assign_residue;
 use super::problem::{empty_report, validate_processors, Distribution, PartitionReport,
                      Partitioner};
 use crate::cost::CostFunction;
@@ -28,7 +28,11 @@ pub enum RoundingVariant {
     /// Scan all processors for each residue element (`O(p²)`), the naive
     /// implementation of reference \[6\].
     Naive,
-    /// Heap-based residue assignment (`O(p·log p)`).
+    /// The same greedy in `O(p·log p)` or better: the residue goes to the
+    /// processors with the smallest post-assignment times, picked by
+    /// selection in `O(p)` when none of them must take two elements, else
+    /// through a binary heap (the fine-tuning's residue routine). The
+    /// plan is always the heap's.
     #[default]
     Heap,
 }
@@ -107,7 +111,12 @@ impl SingleNumberPartitioner {
         let residue = n - assigned;
         match self.variant {
             RoundingVariant::Naive => naive_residue(&mut counts, speeds, residue),
-            RoundingVariant::Heap => heap_residue(&mut counts, speeds, residue),
+            RoundingVariant::Heap => {
+                assign_residue(&mut counts, residue, |i, c| {
+                    (speeds[i] > 0.0).then(|| c.saturating_add(1) as f64 / speeds[i])
+                })
+                .expect("positive total speed guarantees candidates");
+            }
         }
         Ok(Distribution::new(counts))
     }
@@ -130,36 +139,6 @@ fn naive_residue(counts: &mut [u64], speeds: &[f64], residue: u64) {
             }
         }
         counts[best] += 1;
-    }
-}
-
-/// Heap-based residue loop: `O(p + residue·log p)`; as `residue < p`, this
-/// is `O(p·log p)` overall.
-fn heap_residue(counts: &mut [u64], speeds: &[f64], residue: u64) {
-    #[derive(PartialEq)]
-    struct Key(f64, usize);
-    impl Eq for Key {}
-    impl PartialOrd for Key {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
-    }
-    impl Ord for Key {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0.total_cmp(&other.0).then(self.1.cmp(&other.1))
-        }
-    }
-    let mut heap: BinaryHeap<Reverse<Key>> = counts
-        .iter()
-        .zip(speeds)
-        .enumerate()
-        .filter(|(_, (_, &s))| s > 0.0)
-        .map(|(i, (&c, &s))| Reverse(Key(c.saturating_add(1) as f64 / s, i)))
-        .collect();
-    for _ in 0..residue {
-        let Reverse(Key(_, i)) = heap.pop().expect("positive total speed guarantees candidates");
-        counts[i] += 1;
-        heap.push(Reverse(Key(counts[i].saturating_add(1) as f64 / speeds[i], i)));
     }
 }
 
@@ -206,6 +185,23 @@ mod tests {
                 .partition_with_speeds(n, &speeds)
                 .unwrap();
             assert_eq!(naive, heap, "variants diverge at n = {n}");
+        }
+        // Seeded speeds: up to 300 machines, speed ratios up to 10⁴, sizes
+        // up to 2⁶⁰, where rounding can leave a residue beyond p.
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5146_1E00_0001);
+        for case in 0..120 {
+            let p = rng.gen_range(1..=300usize);
+            let ratio = 10f64.powf(rng.gen_range(0.0..=4.0));
+            let speeds: Vec<f64> = (0..p).map(|_| rng.gen_range(1.0..=ratio)).collect();
+            let n = 2f64.powf(rng.gen_range(0.0..=60.0)) as u64;
+            let [naive, heap] = [RoundingVariant::Naive, RoundingVariant::Heap].map(|variant| {
+                SingleNumberPartitioner::at_size(1.0)
+                    .with_variant(variant)
+                    .partition_with_speeds(n, &speeds)
+                    .unwrap()
+            });
+            assert_eq!(naive, heap, "case {case}: p = {p}, n = {n}, ratio {ratio}");
         }
     }
 

@@ -5,7 +5,7 @@
 //! the first violation.
 
 use fpm_core::cost::CostFunction;
-use fpm_core::partition::{oracle, Distribution};
+use fpm_core::partition::{oracle, Distribution, PartitionReport};
 use fpm_core::planner::{erase, AlgorithmId};
 use fpm_core::speed::{
     ModelRefiner, PiecewiseLinearSpeed, RefineConfig, RefineOutcome, RejectReason, SpeedFunction,
@@ -52,6 +52,21 @@ pub fn check_makespan_gap(
         ))
     } else {
         Ok(())
+    }
+}
+
+/// The reported makespan must be the plan's makespan in `funcs`, the
+/// entry's own cost domain, bit for bit: a solver may reuse the times it
+/// evaluated while fine-tuning, but not change them.
+pub fn check_reported_makespan<F: CostFunction>(
+    report: &PartitionReport,
+    funcs: &[F],
+) -> Result<(), String> {
+    let plan = report.distribution.makespan(funcs);
+    if report.makespan.to_bits() == plan.to_bits() {
+        Ok(())
+    } else {
+        Err(format!("reported makespan {} is not the plan's {plan}", report.makespan))
     }
 }
 

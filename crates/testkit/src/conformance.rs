@@ -10,6 +10,8 @@
 //!   *two-sided*: an algorithm beating the oracle means the oracle is
 //!   suboptimal, which the harness must surface just as loudly;
 //! * **exchange-optimality** — no single-element move improves the result;
+//! * **reported makespan** — equals the plan's makespan bit for bit, since
+//!   fine-tuning hands the report the times it already evaluated;
 //! * **cost-domain oracles** — every check is evaluated in the *time
 //!   domain the entry solves*: linear entries against the plain oracle,
 //!   the sort- and query-shaped entries against the oracle run over the
@@ -28,16 +30,20 @@
 //! not beat the oracle, but is allowed (expected!) to be slower.
 
 use fpm_core::cost::{CostFunction, QueryCost, SortCost};
+use fpm_core::partition::bounded::partition_bounded;
 use fpm_core::partition::{
-    oracle, BisectionPartitioner, CombinedPartitioner, ModifiedPartitioner, PartitionReport,
-    Partitioner, DEFAULT_QUERY_GAMMA,
+    fine_tune, oracle, BisectionPartitioner, CombinedPartitioner, Distribution,
+    ModifiedPartitioner, PartitionReport, Partitioner, RoundingVariant, SingleNumberPartitioner,
+    DEFAULT_QUERY_GAMMA,
 };
 use fpm_core::planner::{erase, registry, AlgorithmInfo, CostClass, TraceBound};
-use fpm_core::speed::SpeedFunction;
+use fpm_core::speed::{ConstantSpeed, SpeedFunction};
+use rand::{Rng, SeedableRng};
+use rand_chacha::ChaCha8Rng;
 
 use crate::checks::{
     check_conservation, check_exchange_optimal, check_iteration_bound, check_makespan_gap,
-    BoundClass,
+    check_reported_makespan, BoundClass,
 };
 use crate::gen::{CaseSpec, GenConfig, WireCluster};
 
@@ -311,6 +317,14 @@ fn check_entries(
         .map(|f| QueryCost::new(f.as_ref(), DEFAULT_QUERY_GAMMA))
         .collect();
 
+    // Every entry's report carries its plan's makespan, bit for bit, in
+    // the entry's cost domain.
+    let reported_makespan = |info: &AlgorithmInfo, report: &PartitionReport| match info.cost {
+        CostClass::Linear => check_reported_makespan(report, &case.funcs),
+        CostClass::SortNLogN => check_reported_makespan(report, &sort_funcs),
+        CostClass::Superlinear => check_reported_makespan(report, &query_funcs),
+    };
+
     // Production algorithms: full conformance against the oracle in the
     // entry's cost domain.
     for info in registry().iter().filter(|i| !i.baseline && select(i)) {
@@ -327,6 +341,9 @@ fn check_entries(
             }
         };
         if let Err(m) = check_conservation(&report.distribution, n) {
+            failures.push(fail(info.name, m));
+        }
+        if let Err(m) = reported_makespan(info, &report) {
             failures.push(fail(info.name, m));
         }
         match info.cost {
@@ -365,6 +382,9 @@ fn check_entries(
         match info.id_with(reference_size).solve(n, &refs) {
             Ok(report) => {
                 if let Err(m) = check_conservation(&report.distribution, n) {
+                    failures.push(fail(info.name, m));
+                }
+                if let Err(m) = reported_makespan(info, &report) {
                     failures.push(fail(info.name, m));
                 }
                 if report.makespan < reference.makespan * (1.0 - tol.makespan_rel) {
@@ -657,6 +677,201 @@ pub fn run_seeded_cold_sweep(config: &ConformanceConfig) -> ConformanceReport {
             let descriptor = format!("wire p={} n={m}", models.len());
             report.failures.extend(check_seeded_cold(seed, &descriptor, m, &models));
         }
+        report.cases_run += 1;
+    }
+    report
+}
+
+/// The residue greedy one element at a time, `O(p·r)`: from the floors of
+/// `lo` (capped), each element goes to the machine whose time after taking
+/// it is smallest by `total_cmp`, ties to the lower index, never past its
+/// cap. `None` when the caps run out first.
+fn greedy_residue<F: CostFunction>(
+    n: u64,
+    funcs: &[F],
+    lo: &[f64],
+    caps: Option<&[u64]>,
+) -> Option<Vec<u64>> {
+    let cap = |i: usize| caps.map_or(u64::MAX, |c| c[i]);
+    let mut counts: Vec<u64> =
+        lo.iter().enumerate().map(|(i, &l)| (l.max(0.0).floor() as u64).min(cap(i))).collect();
+    let assigned: u64 = counts.iter().sum();
+    for _ in assigned..n {
+        let mut best: Option<(f64, usize)> = None;
+        for (i, &c) in counts.iter().enumerate().filter(|&(i, &c)| c < cap(i)) {
+            let key = funcs[i].time((c + 1) as f64);
+            if best.map_or(true, |(b, _)| key.total_cmp(&b).is_lt()) {
+                best = Some((key, i));
+            }
+        }
+        counts[best?.1] += 1;
+    }
+    Some(counts)
+}
+
+/// A constant speed whose time is NaN, of either sign, at some counts and
+/// infinite past a size.
+struct Patchy {
+    speed: f64,
+    nan_every: u64,
+    finite_up_to: f64,
+}
+
+impl CostFunction for Patchy {
+    fn time(&self, x: f64) -> f64 {
+        match x as u64 % self.nan_every {
+            _ if x > self.finite_up_to => f64::INFINITY,
+            1 => f64::NAN,
+            2 => -f64::NAN,
+            _ => x / self.speed,
+        }
+    }
+}
+
+/// One residue run: the input, the entry point, its plan and the naive
+/// plan (`None` for an error, or for caps that ran out).
+type ResidueRun = (String, &'static str, Option<Vec<u64>>, Option<Vec<u64>>);
+
+/// [`fine_tune`] from the bracket `[lo, lo]` against the naive greedy from
+/// the same floors.
+fn tune_run<F: CostFunction>(input: String, n: u64, funcs: &[F], lo: &[f64]) -> ResidueRun {
+    let plan = fine_tune(n, funcs, lo, lo).counts().to_vec();
+    (input, "fine-tune", Some(plan), greedy_residue(n, funcs, lo, None))
+}
+
+/// Differentially pins the residue assignment on inputs derived from
+/// `seed`: [`fine_tune`], [`partition_bounded`] (fine-tuning under caps)
+/// and the single-number baseline's default heap variant must return
+/// exactly the plans of a naive greedy that hands out one element at a
+/// time to the machine with the smallest time after taking it, ties to the
+/// lower index (for the baseline, its naive variant). The bounded report
+/// must also carry the naive plan's makespan bits.
+///
+/// The inputs reach both paths of the residue routine. The real optimum as
+/// the bracket of the generated cluster leaves fewer elements than
+/// machines, none of which needs a machine twice. Brackets several
+/// elements wide, and `lo = 0`, leave more than `p`. A machine 1000 times
+/// faster than the others must take several of `r ≤ p` elements. Equal
+/// speeds tie the keys, and NaN or infinite times at some counts test the
+/// key order. The baseline also runs at sizes up to 2⁶⁰, where rounding
+/// can leave a residue beyond `p`. The bounded solver's naive plan starts
+/// from zero: with strictly increasing times every element below the
+/// floors of a steep bounding line is cheaper than every element above
+/// them, so the plan from zero is the plan from any steep line's floors.
+pub fn check_residue(seed: u64, gen: &GenConfig) -> Vec<CaseFailure> {
+    let case = CaseSpec::from_seed(seed, gen);
+    let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x2E51_D0E0_0000_0001);
+    let (n, p, funcs, d) = (case.n, case.funcs.len(), &case.funcs, &case.descriptor);
+    let mut runs: Vec<ResidueRun> = Vec::new();
+    let mut failures = Vec::new();
+
+    // The generated cluster: its converged and widened brackets, and a
+    // few elements from lo = 0. Floors above n are shed, not a residue.
+    let small = rng.gen_range(1..=20 * p as u64);
+    let mut brackets = vec![(format!("{d} lo=0 n={small}"), small, vec![0.0; p])];
+    if let Ok((xs, _)) = oracle::solve_real(n, funcs) {
+        let wide = xs.iter().map(|&x| (x - rng.gen_range(2.0..8.0)).max(0.0)).collect();
+        brackets.push((format!("{d} converged"), n, xs));
+        brackets.push((format!("{d} wide"), n, wide));
+    }
+    for (input, m, lo) in brackets {
+        if lo.iter().map(|&l| l.floor() as u64).sum::<u64>() <= m {
+            runs.push(tune_run(input, m, funcs, &lo));
+        }
+    }
+
+    // Fine-tuning under caps, some binding and Σ caps possibly short.
+    let caps: Vec<u64> = match oracle::solve_real(small, funcs) {
+        Ok((xs, _)) => xs.iter().map(|&x| (rng.gen_range(0.3..1.6) * (x + 1.0)) as u64).collect(),
+        Err(_) => vec![small; p],
+    };
+    let input = format!("{d} n={small} caps={caps:?}");
+    let naive = greedy_residue(small, funcs, &vec![0.0; p], Some(&caps));
+    let bounded = partition_bounded(small, funcs, &caps).ok();
+    if let (Some(report), Some(want)) = (&bounded, &naive) {
+        let makespan = Distribution::new(want.clone()).makespan(funcs);
+        if report.makespan.to_bits() != makespan.to_bits() {
+            failures.push(CaseFailure {
+                seed,
+                algorithm: "bounded",
+                descriptor: input.clone(),
+                message: format!("makespan {} vs the naive plan's {makespan}", report.makespan),
+            });
+        }
+    }
+    let plan = bounded.map(|r| r.distribution.counts().to_vec());
+    runs.push((input, "bounded", plan, naive));
+
+    // A machine 1000 times faster than the rest, 10 elements below its
+    // share and the others at theirs: it takes several of r ≤ q elements.
+    let q = rng.gen_range(2..=12usize);
+    let fast = rng.gen_range(0..q);
+    let t0 = rng.gen_range(10.0..1e4);
+    let pair: Vec<f64> =
+        (0..q).map(|i| if i == fast { 1000.0 } else { rng.gen_range(1.0..2.0) }).collect();
+    let lo: Vec<f64> =
+        (0..q).map(|i| (pair[i] * t0).floor() - 10.0 * f64::from(i == fast)).collect();
+    let m_pair = lo.iter().sum::<f64>() as u64 + rng.gen_range(2..=q as u64);
+    let constants: Vec<ConstantSpeed> = pair.iter().map(|&s| ConstantSpeed::new(s)).collect();
+    runs.push(tune_run(format!("1000:1 q={q} n={m_pair}"), m_pair, &constants, &lo));
+
+    // Equal speeds: floors k or k + 1, so keys tie across machines.
+    let k = rng.gen_range(0..1000u64);
+    let lo: Vec<f64> = (0..q).map(|_| (k + rng.gen_range(0..2u64)) as f64).collect();
+    let m_ties = lo.iter().sum::<f64>() as u64 + rng.gen_range(1..=2 * q as u64);
+    let equal = vec![ConstantSpeed::new(rng.gen_range(1.0..100.0)); q];
+    runs.push(tune_run(format!("ties q={q} n={m_ties}"), m_ties, &equal, &lo));
+
+    // NaN and infinite times.
+    let lo: Vec<f64> = (0..q).map(|_| rng.gen_range(0..1000u64) as f64).collect();
+    let patchy: Vec<Patchy> = lo
+        .iter()
+        .map(|&l| Patchy {
+            speed: rng.gen_range(1.0..10.0),
+            nan_every: rng.gen_range(3..=9),
+            finite_up_to: l + rng.gen_range(0.0..4.0),
+        })
+        .collect();
+    let m_nan = lo.iter().sum::<f64>() as u64 + rng.gen_range(1..=2 * q as u64);
+    runs.push(tune_run(format!("nan q={q} n={m_nan}"), m_nan, &patchy, &lo));
+
+    // The single-number baseline: heap variant against the naive one.
+    let share = (n as f64 / p as f64).max(1.0);
+    let sampled: Vec<f64> =
+        funcs.iter().map(|f| CostFunction::throughput(f, share).max(0.0)).collect();
+    let huge = 2f64.powf(rng.gen_range(53.0..=60.0)) as u64;
+    let tied = vec![equal[0].speed; q];
+    for (input, m, speeds) in [
+        (format!("{d} sampled at n/p"), n, &sampled),
+        (format!("{d} sampled at n/p, n={huge}"), huge, &sampled),
+        (format!("1000:1 q={q} n={m_pair}"), m_pair, &pair),
+        (format!("ties q={q} n={m_ties}"), m_ties, &tied),
+    ] {
+        let [naive, heap] = [RoundingVariant::Naive, RoundingVariant::Heap].map(|variant| {
+            let partitioner = SingleNumberPartitioner::at_size(1.0).with_variant(variant);
+            partitioner.partition_with_speeds(m, speeds).ok().map(|d| d.counts().to_vec())
+        });
+        runs.push((input, "single-number", heap, naive));
+    }
+
+    failures.extend(runs.into_iter().filter(|(_, _, got, want)| got != want).map(
+        |(descriptor, algorithm, got, want)| CaseFailure {
+            seed,
+            algorithm,
+            descriptor,
+            message: format!("plan {got:?}, naive greedy {want:?}"),
+        },
+    ));
+    failures
+}
+
+/// Runs the residue differential ([`check_residue`]) over seeded clusters.
+pub fn run_residue_sweep(config: &ConformanceConfig) -> ConformanceReport {
+    let cases = if config.cases == 0 { 300 } else { config.cases };
+    let mut report = ConformanceReport::default();
+    for i in 0..cases {
+        let seed = config.base_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        report.failures.extend(check_residue(seed, &config.gen));
         report.cases_run += 1;
     }
     report

@@ -49,13 +49,13 @@ pub mod gen;
 
 pub use checks::{
     check_conservation, check_exchange_optimal, check_iteration_bound, check_makespan_gap,
-    refinement_conformance,
+    check_reported_makespan, refinement_conformance,
 };
 pub use conformance::{
-    check_case, check_closed_form, check_seeded_cold, check_warm_start, env_base_seed, env_cases,
-    env_drift_cases, run_closed_form_sweep, run_conformance, run_seeded_cold_sweep,
-    run_warm_start_sweep, CaseFailure, ConformanceConfig, ConformanceReport, NumericOnly,
-    Tolerances, WithoutKnots,
+    check_case, check_closed_form, check_residue, check_seeded_cold, check_warm_start,
+    env_base_seed, env_cases, env_drift_cases, run_closed_form_sweep, run_conformance,
+    run_residue_sweep, run_seeded_cold_sweep, run_warm_start_sweep, CaseFailure,
+    ConformanceConfig, ConformanceReport, NumericOnly, Tolerances, WithoutKnots,
 };
 pub use fault::{assert_no_panic, FaultKind, FaultyMeasurer};
 pub use gen::{CaseSpec, DriftScenario, GenConfig, ModelKind, WireCluster};

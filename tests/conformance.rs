@@ -13,7 +13,7 @@ use fpm_exec::pool::WorkerPool;
 use fpm_simnet::{FluctuatingMeasurer, Integration};
 use fpm_testkit::conformance::{
     env_base_seed, env_cases, env_cost_cases, run_closed_form_sweep, run_conformance,
-    run_cost_conformance, run_seeded_cold_sweep, ConformanceConfig,
+    run_cost_conformance, run_residue_sweep, run_seeded_cold_sweep, ConformanceConfig,
 };
 use fpm_testkit::fault::{assert_no_panic, FaultKind, FaultyMeasurer};
 use fpm_testkit::GenConfig;
@@ -105,6 +105,24 @@ fn seeded_combined_matches_the_paper_literal_path() {
     };
     let report = run_seeded_cold_sweep(&config);
     eprintln!("seeded cold differential: {}", report.summary());
+    assert!(report.cases_run >= config.cases);
+    report.assert_ok();
+}
+
+/// Residue differential: fine-tuning (plain and under the bounded
+/// solver's caps) and the single-number baseline hand out their residue
+/// exactly as a naive one-element-at-a-time greedy does, on inputs that
+/// reach both the selection and the heap path of the shared residue
+/// routine. Scaled with `FPM_TESTKIT_CASES` like the full sweep.
+#[test]
+fn residue_assignment_matches_the_naive_greedy() {
+    let config = ConformanceConfig {
+        cases: env_cases(300),
+        base_seed: env_base_seed(0xD1FF_CA5E_0000_0005),
+        ..ConformanceConfig::default()
+    };
+    let report = run_residue_sweep(&config);
+    eprintln!("residue differential: {}", report.summary());
     assert!(report.cases_run >= config.cases);
     report.assert_ok();
 }
