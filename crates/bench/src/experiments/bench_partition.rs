@@ -16,7 +16,9 @@
 //!   triple loop at `n = 512`.
 //!
 //! Besides the usual CSV report, the run writes `BENCH_partition.json`
-//! with the raw medians in nanoseconds.
+//! with the raw medians in nanoseconds, and beside each seeded solve's
+//! median its count of intersection sweeps, which does not drift with the
+//! host.
 
 use std::time::Instant;
 
@@ -25,6 +27,7 @@ use fpm_core::partition::{
 };
 use fpm_core::speed::builder::BuilderConfig;
 use fpm_core::speed::{PiecewiseLinearSpeed, SpeedFunction};
+use fpm_core::trace::Trace;
 use fpm_exec::model_build::{build_cluster_models, build_cluster_models_seq};
 use fpm_kernels::matmul::{matmul_abt_blocked, matmul_abt_blocked_loop, DEFAULT_TILE};
 use fpm_kernels::matrix::Matrix;
@@ -66,6 +69,9 @@ pub struct BenchPartitionResults {
     /// the search seeded from the single-number line and closed-form
     /// intersections.
     pub partition_optimized_ns: u128,
+    /// Intersection sweeps of that solve: the bracket's two ε-probes,
+    /// its widenings and the search steps.
+    pub partition_optimized_sweeps: usize,
     /// The paper-literal Fig. 15 strategy (`partition_explain`) from the
     /// Fig. 18 initial lines, with closed-form intersections.
     pub partition_paper_ns: u128,
@@ -75,14 +81,20 @@ pub struct BenchPartitionResults {
     /// Cold solve of the near-duplicate size (`BENCH_N + BENCH_N/1000`):
     /// the search seeded from the single-number line at `n/p`.
     pub partition_cold_near_ns: u128,
+    /// Intersection sweeps of the near-duplicate cold solve.
+    pub partition_cold_near_sweeps: usize,
     /// Warm solve of the same near-duplicate size, seeded from the
     /// `BENCH_N` solution via `resolve_from` (tight bracket, `O(p)` work
     /// per probe, a handful of bisection steps).
     pub partition_warm_ns: u128,
+    /// Intersection sweeps of the warm solve.
+    pub partition_warm_sweeps: usize,
     /// Nonlinear-cost solve: the `sort-sample` entry on the same cluster
     /// and size, solved in the `x·log x` time domain through the
     /// cost-function path (the seed had no solver for this shape).
     pub partition_sort_ns: u128,
+    /// Intersection sweeps of the nonlinear-cost solve.
+    pub partition_sort_sweeps: usize,
     /// `fine_tune` of the `BENCH_N` problem from its real optimum
     /// (`oracle::solve_real`, `lo = hi`), which leaves the ~p/2 residue a
     /// converged search leaves.
@@ -99,6 +111,12 @@ pub struct BenchPartitionResults {
     pub mm_packed_ns: u128,
     /// Seed plain tiled triple loop at `BENCH_MM_N`.
     pub mm_loop_ns: u128,
+}
+
+/// The `O(p)` intersection sweeps a seeded solve made: the two ε-probes
+/// of its bracket, the bracket's widenings and the search steps.
+fn sweeps(trace: &Trace) -> usize {
+    2 + trace.bracket_probes + trace.steps()
 }
 
 /// Median wall time of `samples` runs of `f`, in nanoseconds.
@@ -170,6 +188,13 @@ pub fn measure() -> BenchPartitionResults {
     run_sort();
     let partition_sort_ns = median_ns(9, run_sort);
 
+    // Sweep counts, from one untimed solve each.
+    let partition_optimized_sweeps = sweeps(&donor.trace);
+    let partition_cold_near_sweeps = sweeps(&optimized.partition(near_n, &funcs).unwrap().trace);
+    let partition_warm_sweeps =
+        sweeps(&optimized.resolve_from(&donor.distribution, near_n, &funcs).unwrap().trace);
+    let partition_sort_sweeps = sweeps(&sorter.partition(BENCH_N, &funcs).unwrap().trace);
+
     // Fine-tuning alone, from the real optimum: short enough for the
     // warm rows' sample count.
     let (optimum, _) = oracle::solve_real(BENCH_N, &funcs).unwrap();
@@ -236,11 +261,15 @@ pub fn measure() -> BenchPartitionResults {
 
     BenchPartitionResults {
         partition_optimized_ns,
+        partition_optimized_sweeps,
         partition_paper_ns,
         partition_seed_ns,
         partition_cold_near_ns,
+        partition_cold_near_sweeps,
         partition_warm_ns,
+        partition_warm_sweeps,
         partition_sort_ns,
+        partition_sort_sweeps,
         partition_fine_tune_ns,
         build_machines: specs.len(),
         build_pooled_ns,
@@ -255,6 +284,7 @@ pub fn measure() -> BenchPartitionResults {
 /// in the shared envelope by [`crate::report::write_bench_json`]).
 pub fn to_json(r: &BenchPartitionResults) -> Json {
     let ns = |v: u128| Json::uint(v.min(u128::from(u64::MAX)) as u64);
+    let count = |v: usize| Json::uint(v as u64);
     Json::Obj(vec![
         (
             "partition".into(),
@@ -262,12 +292,16 @@ pub fn to_json(r: &BenchPartitionResults) -> Json {
                 ("p".into(), Json::uint(BENCH_P as u64)),
                 ("n".into(), Json::uint(BENCH_N)),
                 ("median_ns".into(), ns(r.partition_optimized_ns)),
+                ("sweeps".into(), count(r.partition_optimized_sweeps)),
                 ("paper_median_ns".into(), ns(r.partition_paper_ns)),
                 ("seed_median_ns".into(), ns(r.partition_seed_ns)),
                 ("warm_delta_n".into(), Json::uint(BENCH_N / 1000)),
                 ("cold_near_median_ns".into(), ns(r.partition_cold_near_ns)),
+                ("cold_near_sweeps".into(), count(r.partition_cold_near_sweeps)),
                 ("warm_median_ns".into(), ns(r.partition_warm_ns)),
+                ("warm_sweeps".into(), count(r.partition_warm_sweeps)),
                 ("sort_median_ns".into(), ns(r.partition_sort_ns)),
+                ("sort_sweeps".into(), count(r.partition_sort_sweeps)),
                 ("fine_tune_median_ns".into(), ns(r.partition_fine_tune_ns)),
             ]),
         ),
@@ -305,7 +339,10 @@ pub fn run() -> Report {
         &["measurement", "optimised (ns)", "baseline (ns)", "speedup"],
     );
     r.push_row(vec![
-        format!("partition p={BENCH_P} n={BENCH_N}"),
+        format!(
+            "partition p={BENCH_P} n={BENCH_N} ({} sweeps)",
+            results.partition_optimized_sweeps
+        ),
         results.partition_optimized_ns.to_string(),
         results.partition_seed_ns.to_string(),
         fnum(speedup(results.partition_seed_ns, results.partition_optimized_ns), 2),
@@ -317,13 +354,19 @@ pub fn run() -> Report {
         fnum(speedup(results.partition_paper_ns, results.partition_optimized_ns), 2),
     ]);
     r.push_row(vec![
-        format!("partition warm-start p={BENCH_P} |dn|/n=1e-3"),
+        format!(
+            "partition warm-start p={BENCH_P} |dn|/n=1e-3 ({} vs {} sweeps)",
+            results.partition_warm_sweeps, results.partition_cold_near_sweeps
+        ),
         results.partition_warm_ns.to_string(),
         results.partition_cold_near_ns.to_string(),
         fnum(speedup(results.partition_cold_near_ns, results.partition_warm_ns), 2),
     ]);
     r.push_row(vec![
-        format!("partition sort-sample (cost domain) p={BENCH_P} n={BENCH_N}"),
+        format!(
+            "partition sort-sample (cost domain) p={BENCH_P} n={BENCH_N} ({} sweeps)",
+            results.partition_sort_sweeps
+        ),
         results.partition_sort_ns.to_string(),
         results.partition_optimized_ns.to_string(),
         fnum(speedup(results.partition_sort_ns, results.partition_optimized_ns), 2),
@@ -357,6 +400,7 @@ pub fn run() -> Report {
     r.note("the seeded-vs-paper row compares the default solve with the paper-literal Fig. 15 strategy on the same optimised models; the warm-start row's baseline is the seeded cold solve");
     r.note("the sort-sample row compares the nonlinear cost-domain solve against the linear solve (its ratio is the transform's overhead, not a speedup)");
     r.note("the fine-tune row times fine-tuning from the real optimum against the whole seeded solve (its ratio is the solve's multiple of one fine-tuning, not a speedup)");
+    r.note("a seeded solve's sweeps are its O(p) intersection sweeps: the bracket's two ε-probes, its widenings and the search steps");
     r
 }
 
@@ -368,11 +412,15 @@ mod tests {
     fn json_shape_is_stable() {
         let r = BenchPartitionResults {
             partition_optimized_ns: 1,
+            partition_optimized_sweeps: 13,
             partition_paper_ns: 10,
             partition_seed_ns: 2,
             partition_cold_near_ns: 7,
+            partition_cold_near_sweeps: 14,
             partition_warm_ns: 8,
+            partition_warm_sweeps: 15,
             partition_sort_ns: 9,
+            partition_sort_sweeps: 16,
             partition_fine_tune_ns: 11,
             build_machines: 12,
             build_pooled_ns: 3,
@@ -394,6 +442,10 @@ mod tests {
         assert_eq!(at("partition", "warm_median_ns"), Some(8));
         assert_eq!(at("partition", "sort_median_ns"), Some(9));
         assert_eq!(at("partition", "fine_tune_median_ns"), Some(11));
+        assert_eq!(at("partition", "sweeps"), Some(13));
+        assert_eq!(at("partition", "cold_near_sweeps"), Some(14));
+        assert_eq!(at("partition", "warm_sweeps"), Some(15));
+        assert_eq!(at("partition", "sort_sweeps"), Some(16));
         assert_eq!(at("model_build", "sequential_median_ns"), Some(4));
         assert_eq!(at("matmul", "loop_median_ns"), Some(6));
         // Envelope carries version + commit.

@@ -52,8 +52,9 @@ impl SlopeMode {
 /// The basic slope-bisection partitioner.
 ///
 /// A cold solve halves the region by [`Self::slope_mode`];
-/// [`Partitioner::resolve_from`] picks trials by regula falsi in an
-/// ε-bracket seeded from the donor plan, and returns the cold plan. A
+/// [`Partitioner::resolve_from`] picks trials by regula falsi in
+/// `(ln slope, ln total)` in an ε-bracket seeded from the donor plan, and
+/// returns the cold plan. A
 /// search gives up with [`crate::error::Error::NoConvergence`] after
 /// 100 000 steps, far beyond any polynomial-slope workload, so the
 /// algorithm's documented `O(n)` worst case surfaces instead of hanging.

@@ -40,7 +40,7 @@ const FLATNESS_THRESHOLD: f64 = 0.02;
 /// Steps of the basic stage before the modified algorithm takes over.
 const BASIC_STEP_BUDGET: usize = 4096;
 
-/// The basic stage: tangent bisection, or regula falsi when seeded.
+/// The basic stage: tangent bisection, or log-log regula falsi when seeded.
 const BASIC: Rule = Rule::Basic(SlopeMode::Tangent);
 
 /// Which algorithm the combined strategy selected for a given problem.
@@ -61,13 +61,14 @@ pub enum CombinedChoice {
 /// paper-literal. [`Partitioner::partition`] starts elsewhere. The Fig. 18
 /// probe already measures every machine's throughput at `n/p`, and the
 /// single-number plan built from those numbers is close to the optimum.
-/// Its [`seed_slope`] seeds the warm-start machinery (ε-bracket, regula
-/// falsi, the shared fine-tuning), which then needs a few steps instead of
-/// the ~35 the initial lines take at `p = 1080`. The integer plan is fixed
-/// by the fine-tuning, not by the starting bracket, so the counts and the
-/// makespan bits are those of `partition_explain`. Whenever seeding,
-/// bracketing or the search fails, `partition` runs `partition_explain`,
-/// so errors are identical too; only the trace differs.
+/// Its [`seed_slope`] seeds the warm-start machinery (ε-bracket, log-log
+/// regula falsi, the shared fine-tuning), which then needs one or two
+/// steps instead of the ~35 the initial lines take at `p = 1080`. The
+/// integer plan is fixed by the fine-tuning, not by the starting bracket,
+/// so the counts and the makespan bits are those of `partition_explain`.
+/// Whenever seeding, bracketing or the search fails, `partition` runs
+/// `partition_explain`, so errors are identical too; only the trace
+/// differs.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct CombinedPartitioner;
 
@@ -232,7 +233,7 @@ impl Partitioner for CombinedPartitioner {
 mod tests {
     use super::*;
     use crate::partition::ModifiedPartitioner;
-    use crate::speed::{AnalyticSpeed, ConstantSpeed};
+    use crate::speed::{AnalyticSpeed, ConstantSpeed, PiecewiseLinearSpeed};
 
     fn mixed_cluster() -> Vec<AnalyticSpeed> {
         vec![
@@ -385,10 +386,30 @@ mod tests {
         for seed in [0.05 * 1e6, 0.05 * 1e-6] {
             let far = p.solve_from_seed(3000, &funcs, seed, false).unwrap();
             assert!(far.trace.bracket_probes > 0, "seed {seed}");
+            assert!(far.trace.bracket_probes <= 2, "seed {seed}");
             assert_same(&Ok(far), &Ok(cold.clone()), &format!("seed {seed}"));
         }
         let near = p.solve_from_seed(3000, &funcs, 0.05, false).unwrap();
         assert_eq!(near.trace.bracket_probes, 0);
+    }
+
+    #[test]
+    fn a_total_that_does_not_fall_still_ends_in_insufficient_capacity() {
+        // Capacity 900 010 < n. The probe at n/p finds both machines fast,
+        // so the seeded path runs; every shallow line clamps both at
+        // `max_size`, the widening finds no usable extrapolation, and the
+        // error is the paper path's.
+        let funcs = vec![
+            PiecewiseLinearSpeed::new(vec![(10.0, 100.0), (9e5, 90.0)]).unwrap(),
+            PiecewiseLinearSpeed::new(vec![(1.0, 50.0), (10.0, 50.0)]).unwrap(),
+        ];
+        let n = 1_000_000;
+        let seed = single_number_seed(n, &funcs).unwrap();
+        assert!(bracket_from_slope(n, &funcs, seed).is_err());
+        let p = CombinedPartitioner::new();
+        let seeded = p.partition(n, &funcs);
+        assert!(matches!(seeded, Err(Error::InsufficientCapacity { .. })), "{seeded:?}");
+        assert_same(&seeded, &p.partition_explain(n, &funcs).map(|(r, _)| r), "capacity");
     }
 
     #[test]

@@ -218,27 +218,9 @@ mod tests {
     use std::cell::Cell;
 
     use super::*;
+    use crate::partition::search::fig21_cluster;
     use crate::partition::{oracle, CombinedPartitioner, Partitioner};
     use crate::speed::{ConstantSpeed, PiecewiseLinearSpeed};
-
-    /// The Fig. 21 cluster of `repro fig21` and `repro bench_partition`:
-    /// five-knot speeds whose peaks and knees cycle with the index.
-    fn fig21_cluster(p: usize) -> Vec<PiecewiseLinearSpeed> {
-        (0..p)
-            .map(|i| {
-                let peak = 60.0 + (i % 97) as f64 * 2.5;
-                let knee = 2e7 * (1.0 + (i % 13) as f64);
-                PiecewiseLinearSpeed::new(vec![
-                    (1e4, peak),
-                    (knee * 0.5, peak * 0.97),
-                    (knee, peak * 0.9),
-                    (knee * 2.0, peak * 0.2),
-                    (knee * 4.0, 0.0),
-                ])
-                .unwrap()
-            })
-            .collect()
-    }
 
     /// Counts the `time` evaluations of the model it wraps.
     struct CountingTime<'a> {

@@ -143,16 +143,22 @@ pub fn bracket_slopes<F: CostFunction>(n: u64, funcs: &[F]) -> Result<(SlopeBrac
 /// them, and how many times the ε-bracket was widened (see
 /// [`crate::trace::Trace::bracket_probes`]).
 ///
-/// The interval starts at `[slope·(1−ε), slope·(1+ε)]` (ε = 1e-3) and each
-/// failing side is widened by *squaring* its relative offset factor
-/// (`1±ε → (1±ε)² → …`), i.e. the offset doubles in log-slope space. A
-/// seed that misses the optimum by a hair therefore costs one extra probe
-/// and keeps the bracket within a few ε of the seed — halving the slope
-/// outright would hand the search a bracket ~500× wider than the miss —
-/// while a seed that is orders of magnitude off is still covered: k
-/// squarings reach a relative offset of `ε·2^k`. Callers should fall back
-/// to [`bracket_slopes`] on any error: the seed slope may simply be too
-/// far from the new optimum.
+/// Both sides of `[slope·(1−ε), slope·(1+ε)]` (ε = 1e-3) are probed first.
+/// When one side misses, both probes lie on the same side of the optimum,
+/// and the missed one is the closer: it becomes the opposite bound. The
+/// missed side is then widened from its two latest probes. The root is
+/// extrapolated along their chord in `(ln slope, ln total)`, which is exact
+/// where the total is a power law in the slope (constant speeds), and the
+/// next probe lands a fixed margin of ε/64 in log-slope past it, so even a
+/// seed that is orders of magnitude off ends in a bracket whose new side
+/// hugs the estimate. A probe that misses again becomes the opposite bound,
+/// and the next extrapolation starts from it. When the extrapolation is
+/// unusable (a non-finite value, or a total that does not fall with the
+/// slope, as when every machine is clamped at its `max_size`), the offset
+/// factor from the seed is squared instead (`1±ε → (1±ε)² → …`), which
+/// doubles it in log-slope and still reaches any finite optimum. Callers
+/// should fall back to [`bracket_slopes`] on any error: the seed slope may
+/// simply be too far from the new optimum.
 ///
 /// # Errors
 ///
@@ -165,42 +171,114 @@ pub fn bracket_from_slope<F: CostFunction>(
     slope: f64,
 ) -> Result<(SlopeBracket, BracketProbes, usize)> {
     debug_assert!(n > 0 && !funcs.is_empty());
-    const EPSILON: f64 = 1e-3;
-    const WIDEN_BUDGET: usize = 64;
     if !slope.is_finite() || slope <= 0.0 {
         return Err(Error::NoConvergence { algorithm: "bracket_from_slope(seed)", steps: 0 });
     }
     let target = n as f64;
-    // Squares one side's offset factor until its total lands on its side
-    // of the target: `le` for the steep side, `ge` for the shallow one.
-    let widen = |mut factor: f64,
-                 algorithm: &'static str,
-                 lands: fn(&f64, &f64) -> bool|
-     -> Result<(f64, Vec<f64>, usize)> {
-        let mut steps = 0;
-        loop {
-            let bound = slope * factor;
-            let xs = intersections_at_slope(funcs, bound);
-            let total: f64 = xs.iter().sum();
-            if !total.is_finite() {
-                return Err(Error::NoConvergence { algorithm, steps });
-            }
-            if lands(&total, &target) {
-                return Ok((bound, xs, steps));
-            }
-            factor *= factor;
-            steps += 1;
-            let next = slope * factor;
-            if steps > WIDEN_BUDGET || !next.is_finite() || next <= 0.0 {
-                return Err(Error::NoConvergence { algorithm, steps });
-            }
+    let widen = Widen { funcs, seed: slope, target };
+    let steep = widen.probe(slope * (1.0 + SEED_EPSILON), STEEP, 0)?;
+    let shallow = widen.probe(slope * (1.0 - SEED_EPSILON), SHALLOW, 0)?;
+    if steep.total > target {
+        // The optimum is steeper than both probes.
+        let (landed, missed, widenings) = widen.side(shallow, steep, STEEP)?;
+        let bracket = SlopeBracket { shallow: missed.slope, steep: landed.slope };
+        Ok((bracket, (landed.xs, missed.xs), widenings))
+    } else if shallow.total < target {
+        // The optimum is shallower than both probes.
+        let (landed, missed, widenings) = widen.side(steep, shallow, SHALLOW)?;
+        let bracket = SlopeBracket { shallow: landed.slope, steep: missed.slope };
+        Ok((bracket, (missed.xs, landed.xs), widenings))
+    } else {
+        let bracket = SlopeBracket { shallow: shallow.slope, steep: steep.slope };
+        Ok((bracket, (steep.xs, shallow.xs), 0))
+    }
+}
+
+/// The seeded bracket's relative half-width ε.
+const SEED_EPSILON: f64 = 1e-3;
+
+/// Widenings one side of a seeded bracket may take.
+const WIDEN_BUDGET: usize = 64;
+
+/// How far past its extrapolated root, in log-slope, a widening probe
+/// lands: ε/64, so the landed bound sits within a factor `1 + 1.6·10⁻⁵`
+/// of the estimate, however far off the seed was.
+const WIDEN_MARGIN: f64 = SEED_EPSILON / 64.0;
+
+/// One side of a seeded bracket: the name its errors report, and whether a
+/// total lands on it (`≤ n` on the steep side, `≥ n` on the shallow one).
+#[derive(Clone, Copy)]
+struct Side {
+    algorithm: &'static str,
+    lands: fn(&f64, &f64) -> bool,
+}
+
+const STEEP: Side = Side { algorithm: "bracket_from_slope(steep)", lands: f64::le };
+const SHALLOW: Side = Side { algorithm: "bracket_from_slope(shallow)", lands: f64::ge };
+
+/// One swept line of a seeded bracket.
+struct Probe {
+    slope: f64,
+    xs: Vec<f64>,
+    total: f64,
+}
+
+/// What widening a seeded bracket needs to know.
+struct Widen<'a, F> {
+    funcs: &'a [F],
+    seed: f64,
+    target: f64,
+}
+
+impl<F: CostFunction> Widen<'_, F> {
+    /// Sweeps the line of slope `slope`; `steps` widenings came before it.
+    fn probe(&self, slope: f64, side: Side, steps: usize) -> Result<Probe> {
+        let xs = intersections_at_slope(self.funcs, slope);
+        let total: f64 = xs.iter().sum();
+        if !total.is_finite() {
+            return Err(Error::NoConvergence { algorithm: side.algorithm, steps });
         }
-    };
-    let (steep, lo_x, steep_widenings) =
-        widen(1.0 + EPSILON, "bracket_from_slope(steep)", f64::le)?;
-    let (shallow, hi_x, shallow_widenings) =
-        widen(1.0 - EPSILON, "bracket_from_slope(shallow)", f64::ge)?;
-    Ok((SlopeBracket { shallow, steep }, (lo_x, hi_x), steep_widenings + shallow_widenings))
+        Ok(Probe { slope, xs, total })
+    }
+
+    /// Widens `side` until a probe lands on it, from its two latest probes
+    /// `prev` and `last`, both of which missed. Returns the landed probe,
+    /// the last one that missed (the opposite bound), and the widenings.
+    fn side(&self, mut prev: Probe, mut last: Probe, side: Side) -> Result<(Probe, Probe, usize)> {
+        for steps in 1..=WIDEN_BUDGET {
+            let next = self.extrapolate(&prev, &last).unwrap_or_else(|| {
+                // Square the offset factor from the seed.
+                let factor = last.slope / self.seed;
+                self.seed * factor * factor
+            });
+            if !next.is_finite() || next <= 0.0 {
+                return Err(Error::NoConvergence { algorithm: side.algorithm, steps });
+            }
+            let probe = self.probe(next, side, steps)?;
+            if (side.lands)(&probe.total, &self.target) {
+                return Ok((probe, last, steps));
+            }
+            (prev, last) = (last, probe);
+        }
+        Err(Error::NoConvergence { algorithm: side.algorithm, steps: WIDEN_BUDGET })
+    }
+
+    /// The next widening probe: the slope where the chord through `prev`
+    /// and `last` in `(ln slope, ln total)` reaches `ln n`, moved
+    /// [`WIDEN_MARGIN`] further from `last`. `None` when that is unusable:
+    /// a non-finite value, or a total that does not fall with the slope.
+    fn extrapolate(&self, prev: &Probe, last: &Probe) -> Option<f64> {
+        let du = (last.slope / prev.slope).ln();
+        let elasticity = (last.total / prev.total).ln() / du;
+        if !(elasticity < 0.0 && elasticity.is_finite()) {
+            return None;
+        }
+        // Positive: `last` missed, so the root lies further in `du`'s
+        // direction.
+        let distance = (self.target / last.total).ln() / elasticity * du.signum();
+        let next = last.slope * ((distance + WIDEN_MARGIN) * du.signum()).exp();
+        (next.is_finite() && next > 0.0).then_some(next)
+    }
 }
 
 #[cfg(test)]
@@ -327,6 +405,29 @@ mod tests {
             let (b, ..) = bracket_from_slope(n, &funcs, seed).unwrap();
             assert!(total_elements_at_slope(&funcs, b.steep) <= n as f64 + 1e-9, "{seed}");
             assert!(total_elements_at_slope(&funcs, b.shallow) >= n as f64 - 1e-9, "{seed}");
+        }
+    }
+
+    #[test]
+    fn far_and_near_misses_bracket_within_two_widenings() {
+        // Constant speeds make the total an exact power law in the slope:
+        // the optimum balances 150 elements per unit slope over n = 3000.
+        // Squaring the ε-offset took 14 widenings for the 10⁶× misses and 7
+        // for the 10 % ones.
+        let funcs = vec![ConstantSpeed::new(100.0), ConstantSpeed::new(50.0)];
+        let (n, optimum) = (3000u64, 0.05_f64);
+        for miss in [1e6, 1e-6, 1.1, 1.0 / 1.1] {
+            let (b, (lo, hi), widenings) = bracket_from_slope(n, &funcs, optimum * miss).unwrap();
+            assert!((1..=2).contains(&widenings), "miss {miss}: {widenings} widenings");
+            assert!(lo.iter().sum::<f64>() <= n as f64, "miss {miss}");
+            assert!(hi.iter().sum::<f64>() >= n as f64, "miss {miss}");
+            // The widened side, shallow for a steep seed, lands within a
+            // bounded margin of the optimum however far off the seed was;
+            // stepping half again past the estimate would have landed 10³×
+            // off from a 10⁶× miss.
+            let landed = if miss > 1.0 { b.shallow } else { b.steep };
+            let past = (landed / optimum).ln().abs();
+            assert!(past <= 2.0 * WIDEN_MARGIN, "miss {miss}: {past} past the optimum");
         }
     }
 

@@ -12,6 +12,18 @@
 //! lands on the same integer plan from any valid bracket. A search that
 //! spends its step budget ends in [`Error::NoConvergence`] under the rule's
 //! name.
+//!
+//! A seeded search (one whose bracket came from [`bracket_from_slope`])
+//! also stops as soon as the steep bound's total `Σ lo_i` is within one
+//! element of `n`: the one-sided stop. Each machine's gap `x*_i − lo_i` to
+//! the real optimum is non-negative, since the steep line crosses every
+//! graph at or before the optimal one, and the gaps sum to
+//! `n − Σ lo_i ≤ 1`, so no gap exceeds one element and every `⌊lo_i⌋` is
+//! `⌊x*_i⌋` or one less: what the two-sided interval test certifies. The
+//! fine-tuning reads only the steep intersections, so it needs no shallow
+//! bound that close. Such a search also takes a trial whose total is
+//! exactly `n` as its steep bound, which the stop then accepts. Both
+//! apply below 2⁵³ elements only ([`ONE_SIDED_LIMIT`]).
 
 use super::bisection::SlopeMode;
 use super::fine_tune::tune;
@@ -27,8 +39,13 @@ use crate::trace::{IterationRecord, Trace};
 /// How a search picks its trial line.
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum Rule {
-    /// The basic algorithm (paper Figs. 7–8): the [`SlopeMode`] midpoint,
-    /// or regula falsi on slopes when the bracket comes seeded.
+    /// The basic algorithm (paper Figs. 7–8): the [`SlopeMode`] midpoint.
+    /// When the bracket comes seeded, Illinois regula falsi in
+    /// `(ln slope, ln total)` aimed at `n − ½` instead: near-flat graphs
+    /// make the total close to a power law in the slope, so the log-log
+    /// chord lands close to the root, and aiming half an element low puts
+    /// the trial on the steep side, where the one-sided stop (module docs)
+    /// ends the search.
     Basic(SlopeMode),
     /// The modified algorithm (paper Figs. 10–12): the line through the
     /// median integer point of the graph with the most candidates.
@@ -57,6 +74,19 @@ impl Rule {
         }
     }
 
+    /// A bound's residual, as the rule's trial reads it, for the element
+    /// total `total` at that bound: `Σx − n`, or, under the seeded basic
+    /// rule, `ln Σx − ln(n − ½)` (a zero total gives `−∞`).
+    fn residual(self, seeded: bool, total: f64, target: f64) -> f64 {
+        match self {
+            Rule::Basic(_) if seeded => {
+                let aim = target - 0.5;
+                ((total - aim) / aim).ln_1p()
+            }
+            _ => total - target,
+        }
+    }
+
     /// The rule's trial slope in `region`, or `None` when its stop test
     /// says the search is done. The search checks that the slope is
     /// strictly inside the region.
@@ -75,13 +105,17 @@ impl Rule {
             }
             // The basic and secant stop test.
             _ if !region.open() => None,
-            Rule::Basic(mode) => {
-                // Regula falsi on the (monotone) total-vs-slope residual.
-                let denom = f_steep - f_shallow;
-                let falsi = (shallow * f_steep - steep * f_shallow) / denom;
-                let interpolate = region.seeded && denom < 0.0 && region.inside(falsi);
-                Some(if interpolate { falsi } else { mode.trial(shallow, steep) })
+            Rule::Basic(mode) if region.seeded => {
+                // False position in (ln slope, ln total): the residuals
+                // are `f_shallow > 0 > f_steep` (see `Rule::residual`), so
+                // the fraction lies in (0, 1) unless a residual is
+                // infinite or damped to zero, and any trial not strictly
+                // inside (NaN included) falls back to the midpoint.
+                let fraction = f_shallow / (f_shallow - f_steep);
+                let falsi = shallow * ((steep / shallow).ln() * fraction).exp();
+                Some(if region.inside(falsi) { falsi } else { mode.trial(shallow, steep) })
             }
+            Rule::Basic(mode) => Some(mode.trial(shallow, steep)),
             Rule::Secant => {
                 // False position in (ln-slope, residual). Degenerate
                 // residuals put `u` outside the region.
@@ -104,15 +138,26 @@ struct Region {
     steep: f64,
     lo_x: Vec<f64>,
     hi_x: Vec<f64>,
-    /// The bounds' residuals `Σx − n`, damped by the Illinois rule so that
-    /// regula falsi cannot stall against a stale end.
+    /// The steep bound's element total `Σ lo_x`.
+    steep_total: f64,
+    /// The bounds' residuals ([`Rule::residual`]), damped by the Illinois
+    /// rule so that regula falsi cannot stall against a stale end.
     f_shallow: f64,
     f_steep: f64,
     /// The bound the last step moved: `-1` steep, `1` shallow, `0` none.
     side: i8,
     /// Whether the bracket came seeded, with its endpoint intersections.
     seeded: bool,
+    /// Whether the one-sided stop applies: the search is seeded and `n` is
+    /// below [`ONE_SIDED_LIMIT`].
+    one_sided: bool,
 }
+
+/// 2⁵³: below it an element total resolves single elements. Above it the
+/// fine-tuning's keys can tie in floating point, and its plan depends on
+/// where it starts, so seeded searches run to the same resolution as the
+/// paper's.
+const ONE_SIDED_LIMIT: f64 = 9_007_199_254_740_992.0;
 
 impl Region {
     fn inside(&self, slope: f64) -> bool {
@@ -142,12 +187,20 @@ impl Region {
         best
     }
 
+    /// Whether a seeded search may stop at its steep bound: the bound
+    /// holds all but at most one of the `target` elements (module docs).
+    fn settled(&self, target: f64) -> bool {
+        self.one_sided && target - self.steep_total <= 1.0
+    }
+
     /// Moves the bound on the trial's side of the optimum to the trial, and
     /// halves the other bound's residual when it survives twice in a row.
-    fn narrow(&mut self, trial: f64, xs: Vec<f64>, residual: f64) {
-        if residual < 0.0 {
+    /// Under the one-sided stop a trial whose total is exactly `n` becomes
+    /// the steep bound, where the stop ends the search.
+    fn narrow(&mut self, trial: f64, xs: Vec<f64>, total: f64, target: f64, residual: f64) {
+        if total < target || (self.one_sided && total == target) {
             // Too few elements: the optimal line is shallower.
-            (self.steep, self.lo_x, self.f_steep) = (trial, xs, residual);
+            (self.steep, self.lo_x, self.steep_total, self.f_steep) = (trial, xs, total, residual);
             self.f_shallow *= if self.side == -1 { 0.5 } else { 1.0 };
             self.side = -1;
         } else {
@@ -176,18 +229,22 @@ pub(crate) fn search<F: CostFunction>(
     // so a step costs p intersection searches instead of 3p.
     let sweep = |slope| intersections_at_slope(funcs, slope);
     let (lo_x, hi_x) = probes.unwrap_or_else(|| (sweep(bracket.steep), sweep(bracket.shallow)));
+    let steep_total: f64 = lo_x.iter().sum();
     let mut region = Region {
         shallow: bracket.shallow,
         steep: bracket.steep,
-        f_shallow: hi_x.iter().sum::<f64>() - target,
-        f_steep: lo_x.iter().sum::<f64>() - target,
+        f_shallow: rule.residual(seeded, hi_x.iter().sum(), target),
+        f_steep: rule.residual(seeded, steep_total, target),
+        steep_total,
         lo_x,
         hi_x,
         side: 0,
         seeded,
+        one_sided: seeded && target < ONE_SIDED_LIMIT,
     };
     for step in 1..=budget {
-        let resolved = region.steep - region.shallow <= f64::EPSILON * region.steep;
+        let resolved = region.settled(target)
+            || region.steep - region.shallow <= f64::EPSILON * region.steep;
         let trial = if resolved { None } else { rule.trial(&region, funcs) };
         let Some(trial) = trial.filter(|&t| region.inside(t)) else {
             return Ok(tune(n, funcs, &region.lo_x, &region.hi_x).into_report(funcs, trace));
@@ -202,7 +259,7 @@ pub(crate) fn search<F: CostFunction>(
             total_elements: total,
             undershoot: total < target,
         });
-        region.narrow(trial, xs, total - target);
+        region.narrow(trial, xs, total, target, rule.residual(seeded, total, target));
     }
     Err(Error::NoConvergence { algorithm: rule.name(), steps: budget })
 }
@@ -256,5 +313,175 @@ pub(crate) fn assert_warm_resolve_is_bit_identical_to_cold<P: super::Partitioner
         assert_eq!(cold.distribution, warm.distribution, "n = {n}");
         assert_eq!(cold.makespan.to_bits(), warm.makespan.to_bits(), "n = {n}");
         assert!(warm.trace.warm_bracket, "n = {n}: warm bracket not used");
+    }
+}
+
+/// The Fig. 21 cluster of `repro fig21` and `repro bench_partition`:
+/// five-knot speeds whose peaks and knees cycle with the index.
+#[cfg(test)]
+pub(crate) fn fig21_cluster(p: usize) -> Vec<crate::speed::PiecewiseLinearSpeed> {
+    (0..p)
+        .map(|i| {
+            let peak = 60.0 + (i % 97) as f64 * 2.5;
+            let knee = 2e7 * (1.0 + (i % 13) as f64);
+            crate::speed::PiecewiseLinearSpeed::new(vec![
+                (1e4, peak),
+                (knee * 0.5, peak * 0.97),
+                (knee, peak * 0.9),
+                (knee * 2.0, peak * 0.2),
+                (knee * 4.0, 0.0),
+            ])
+            .unwrap()
+        })
+        .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use rand::{Rng, SeedableRng};
+
+    use super::*;
+    use crate::cost::{QueryCost, SortCost};
+    use crate::geometry::total_elements_at_slope;
+    use crate::partition::{CombinedPartitioner, Partitioner, DEFAULT_QUERY_GAMMA};
+    use crate::speed::{AnalyticSpeed, ConstantSpeed, PiecewiseLinearSpeed};
+
+    const BASIC: Rule = Rule::Basic(SlopeMode::Tangent);
+
+    /// A seeded basic search over `bracket`, with its endpoint probes.
+    fn seeded_search<F: CostFunction>(
+        n: u64,
+        funcs: &[F],
+        bracket: SlopeBracket,
+    ) -> Result<PartitionReport> {
+        let sweep = |slope| intersections_at_slope(funcs, slope);
+        let probes = (sweep(bracket.steep), sweep(bracket.shallow));
+        search(BASIC, n, funcs, bracket, Some(probes), Trace::default(), 100)
+    }
+
+    fn paper<F: CostFunction>(n: u64, funcs: &[F]) -> PartitionReport {
+        CombinedPartitioner::new().partition_explain(n, funcs).unwrap().0
+    }
+
+    #[test]
+    fn a_steep_trial_within_one_element_ends_the_search() {
+        // Constant speeds make the total an exact power law in the slope,
+        // so the first log-log trial lands half an element below n. The
+        // seed is 4·10⁻⁴ steep, so the shallow bound still holds ~1800
+        // elements too many and the two-sided test alone would go on.
+        let funcs: Vec<ConstantSpeed> =
+            [100.0, 50.0, 7.0].iter().map(|&s| ConstantSpeed::new(s)).collect();
+        let n = 3_000_000u64;
+        let (bracket, ..) = bracket_from_slope(n, &funcs, 157.0 / n as f64 * 1.0004).unwrap();
+        let report = seeded_search(n, &funcs, bracket).unwrap();
+        assert_eq!(report.trace.steps(), 1);
+        let step = report.trace.iterations[0];
+        assert!(step.undershoot && n as f64 - step.total_elements <= 1.0, "{step:?}");
+        let (lo, hi) = (
+            intersections_at_slope(&funcs, step.trial_slope),
+            intersections_at_slope(&funcs, bracket.shallow),
+        );
+        assert!(lo.iter().zip(&hi).any(|(l, h)| h - l >= 1.0));
+        let paper = paper(n, &funcs);
+        assert_eq!(report.distribution, paper.distribution);
+        assert_eq!(report.makespan.to_bits(), paper.makespan.to_bits());
+    }
+
+    #[test]
+    fn a_zero_total_at_a_bound_never_yields_a_nan_trial() {
+        // Saturating graphs pass through the origin: a line steeper than
+        // every `s(x)/x` crosses them all at 0, so its total is 0 and its
+        // log residual −∞.
+        let funcs =
+            vec![AnalyticSpeed::saturating(150.0, 5e4), AnalyticSpeed::saturating(100.0, 1e4)];
+        let n = 1_000_000u64;
+        let bracket = SlopeBracket { shallow: 1e-5, steep: 1.0 };
+        assert_eq!(total_elements_at_slope(&funcs, bracket.steep), 0.0);
+        assert!(total_elements_at_slope(&funcs, bracket.shallow) >= n as f64);
+        let report = seeded_search(n, &funcs, bracket).unwrap();
+        assert!(report.trace.iterations.iter().all(|r| r.trial_slope.is_finite()));
+        let paper = paper(n, &funcs);
+        assert_eq!(report.distribution, paper.distribution);
+        assert_eq!(report.makespan.to_bits(), paper.makespan.to_bits());
+        // A seed that steep widens from two zero totals, by squaring.
+        let (far, _, widenings) = bracket_from_slope(n, &funcs, 10.0).unwrap();
+        assert!(widenings > 0);
+        let report = seeded_search(n, &funcs, far).unwrap();
+        assert!(report.trace.iterations.iter().all(|r| r.trial_slope.is_finite()));
+        assert_eq!(report.distribution, paper.distribution);
+    }
+
+    /// Intersection sweeps of a seeded solve: the two ε-probes, the
+    /// bracket widenings and the search steps.
+    fn sweeps(trace: &Trace) -> usize {
+        2 + trace.bracket_probes + trace.steps()
+    }
+
+    /// The most sweeps any seeded cold and warm solve takes over `sizes`,
+    /// after checking that each returns the paper-literal plan.
+    fn max_sweeps<F: CostFunction>(funcs: &[F], sizes: &[(u64, u64)]) -> (usize, usize) {
+        let combined = CombinedPartitioner::new();
+        let (mut cold_max, mut warm_max) = (0, 0);
+        for &(n, m) in sizes {
+            let cold = combined.partition(n, funcs).unwrap();
+            let warm = combined.resolve_from(&cold.distribution, m, funcs).unwrap();
+            assert!(warm.trace.warm_bracket, "n = {m}: warm bracket not used");
+            for (report, size) in [(&cold, n), (&warm, m)] {
+                let paper = combined.partition_explain(size, funcs).unwrap().0;
+                assert_eq!(report.distribution, paper.distribution, "n = {size}");
+                assert_eq!(report.makespan.to_bits(), paper.makespan.to_bits(), "n = {size}");
+            }
+            cold_max = cold_max.max(sweeps(&cold.trace));
+            warm_max = warm_max.max(sweeps(&warm.trace));
+        }
+        (cold_max, warm_max)
+    }
+
+    /// The benchmark's solve sizes: 40 in [2.5·10⁸, 2·10⁹], each with a
+    /// warm re-solve at |Δn|/n ≤ 10⁻³ from its cold plan.
+    fn benchmark_sizes() -> Vec<(u64, u64)> {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5EED_0000_0024);
+        (0..40)
+            .map(|_| {
+                let n = rng.gen_range(2.5e8..2e9);
+                let m = n * (1.0 + rng.gen_range(-1e-3..1e-3));
+                (n as u64, m as u64)
+            })
+            .collect()
+    }
+
+    /// The most sweeps (cold, warm) the seeded solves of `combined`,
+    /// `sort-sample` and `query` take on the Fig. 21 cluster of `p`
+    /// machines over [`benchmark_sizes`].
+    fn max_sweeps_at(p: usize) -> [(&'static str, (usize, usize)); 3] {
+        let cluster = fig21_cluster(p);
+        let sort: Vec<SortCost<'_, PiecewiseLinearSpeed>> =
+            cluster.iter().map(SortCost::new).collect();
+        let query: Vec<QueryCost<'_, PiecewiseLinearSpeed>> =
+            cluster.iter().map(|f| QueryCost::new(f, DEFAULT_QUERY_GAMMA)).collect();
+        let sizes = benchmark_sizes();
+        [
+            ("combined", max_sweeps(&cluster, &sizes)),
+            ("sort-sample", max_sweeps(&sort, &sizes)),
+            ("query", max_sweeps(&query, &sizes)),
+        ]
+    }
+
+    // The pins are the most sweeps the seeded solves take here. Regula
+    // falsi on raw totals, with the ε-bracket squared until it brackets,
+    // took 5 per linear solve and 11 to 15 per nonlinear cold solve.
+
+    #[test]
+    fn seeded_solves_stay_within_their_sweep_pins_at_p_1080() {
+        for (name, (cold, warm)) in max_sweeps_at(1080) {
+            assert!(cold <= 4 && warm <= 4, "{name}: most sweeps: cold {cold}, warm {warm}");
+        }
+    }
+
+    #[test]
+    fn seeded_solves_stay_within_their_sweep_pins_at_p_120() {
+        for (name, (cold, warm)) in max_sweeps_at(120) {
+            assert!(cold <= 5 && warm <= 4, "{name}: most sweeps: cold {cold}, warm {warm}");
+        }
     }
 }

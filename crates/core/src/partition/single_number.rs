@@ -123,21 +123,19 @@ impl SingleNumberPartitioner {
 }
 
 /// The naive `O(p²)` residue loop: for each remaining element scan all
-/// processors for the one minimising the post-assignment time `(x_i+1)/s_i`.
+/// processors for the one minimising the post-assignment time `(x_i+1)/s_i`,
+/// in the heap's order (`total_cmp`, then index), so times that overflow
+/// to ∞ still go to the lower index.
 fn naive_residue(counts: &mut [u64], speeds: &[f64], residue: u64) {
     for _ in 0..residue {
-        let mut best = usize::MAX;
-        let mut best_time = f64::INFINITY;
-        for (i, (&c, &s)) in counts.iter().zip(speeds).enumerate() {
-            if s <= 0.0 {
-                continue;
-            }
-            let t = c.saturating_add(1) as f64 / s;
-            if t < best_time {
-                best_time = t;
-                best = i;
-            }
-        }
+        let (_, best) = counts
+            .iter()
+            .zip(speeds)
+            .enumerate()
+            .filter(|&(_, (_, &s))| s > 0.0)
+            .map(|(i, (&c, &s))| (c.saturating_add(1) as f64 / s, i))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
+            .expect("positive total speed guarantees candidates");
         counts[best] += 1;
     }
 }
@@ -202,6 +200,38 @@ mod tests {
                     .unwrap()
             });
             assert_eq!(naive, heap, "case {case}: p = {p}, n = {n}, ratio {ratio}");
+        }
+        // Extreme speeds: subnormal ones, whose times overflow to ∞, and
+        // ones near `f64::MAX`, whose sum does.
+        let extremes: [&[f64]; 5] = [
+            &[1e-310, 1e-310],
+            &[5e-324, 1e-310, 2.5e-308],
+            &[1e-310, 1.0, 0.0],
+            &[f64::MAX, f64::MAX / 3.0, 1.0],
+            &[f64::MAX, 5e-324],
+        ];
+        for speeds in extremes {
+            for n in [1u64, 2, 3, 17, 1000, 1 << 40] {
+                let [naive, heap] = [RoundingVariant::Naive, RoundingVariant::Heap].map(|variant| {
+                    SingleNumberPartitioner::at_size(1.0)
+                        .with_variant(variant)
+                        .partition_with_speeds(n, speeds)
+                        .unwrap()
+                });
+                assert_eq!(naive, heap, "speeds {speeds:?}, n = {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn naive_residue_ties_overflowing_times_to_the_lower_index() {
+        // Subnormal speeds: every post-assignment time is ∞.
+        for variant in [RoundingVariant::Naive, RoundingVariant::Heap] {
+            let d = SingleNumberPartitioner::at_size(1.0)
+                .with_variant(variant)
+                .partition_with_speeds(3, &[1e-310, 1e-310])
+                .unwrap();
+            assert_eq!(d.counts(), &[2, 1], "{variant:?}");
         }
     }
 

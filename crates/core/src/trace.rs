@@ -35,9 +35,13 @@ pub struct Trace {
     /// for warm requests that fell back to the cold bracket construction.
     pub warm_bracket: bool,
     /// How many times the bracket was widened before the search began:
-    /// the expansions of the initial lines (paper Fig. 18) or of a seeded
-    /// ε-bracket. Each widening costs one `O(p)` intersection sweep that
-    /// [`Trace::iterations`] does not record.
+    /// the expansions of the initial lines (paper Fig. 18), or the probes
+    /// past a seeded ε-bracket's missed side, each at an extrapolated
+    /// root or, when that is unusable, at the squared offset (see
+    /// [`crate::partition::bracket_from_slope`]). Each widening costs one
+    /// `O(p)` intersection sweep that [`Trace::iterations`] does not
+    /// record; neither counts the two sweeps of the ε-bracket itself, so
+    /// a seeded solve sweeps `2 + bracket_probes + steps()` times.
     pub bracket_probes: usize,
 }
 
