@@ -1,8 +1,8 @@
 //! `bench_partition` — the performance-engineering acceptance run.
 //!
 //! Times the three optimised paths of this repository against their
-//! sequential/unoptimised counterparts, without Criterion (so the numbers
-//! land in a machine-readable artifact):
+//! sequential/unoptimised counterparts, with its own median timer, so the
+//! numbers land in a machine-readable artifact:
 //!
 //! * `CombinedPartitioner::partition` on the fig21 synthetic cluster at
 //!   `p = 1080`, `n = 2·10⁹`, against the paper-literal Fig. 15 strategy
@@ -199,7 +199,7 @@ pub fn measure() -> BenchPartitionResults {
     // warm rows' sample count.
     let (optimum, _) = oracle::solve_real(BENCH_N, &funcs).unwrap();
     let run_fine_tune = || {
-        let d = fine_tune(BENCH_N, &funcs, &optimum, &optimum);
+        let d = fine_tune(BENCH_N, &funcs, &optimum);
         assert_eq!(d.total(), BENCH_N);
     };
     run_fine_tune();

@@ -2,8 +2,10 @@
 //!
 //! One experiment per table and figure of the paper's evaluation, each
 //! producing a [`Report`] that the `repro` binary prints and writes to
-//! `results/<id>.csv`. The timing-critical experiments are additionally
-//! covered by Criterion benchmarks under `benches/`.
+//! `results/<id>.csv`. The timing experiments record their wall times in
+//! the same reports, and `bench_partition` also writes
+//! `BENCH_partition.json`; serving is timed by the repository benchmark
+//! (`benchmark/`), not here.
 //!
 //! | id | paper artifact | module |
 //! |---|---|---|

@@ -100,5 +100,5 @@ pub mod trace;
 pub use cost::CostFunction;
 pub use error::{Error, Result};
 pub use partition::{Distribution, PartitionReport, Partitioner};
-pub use planner::{registry, AlgorithmId, AlgorithmInfo, CostClass, DynPartitioner};
+pub use planner::{registry, AlgorithmId, AlgorithmInfo, CostClass};
 pub use speed::SpeedFunction;

@@ -80,8 +80,9 @@ pub fn partition_bounded<F: CostFunction>(
             guard += 1;
             if guard > 400 {
                 // Capacity is sufficient (checked above) but some models
-                // saturate below their cap: fall back to the caps
-                // themselves as the upper allocation.
+                // saturate below their cap: stop widening, and let
+                // fine-tuning hand out what the steep bound leaves under
+                // the caps.
                 break;
             }
         }
@@ -105,8 +106,7 @@ pub fn partition_bounded<F: CostFunction>(
     }
 
     let lo_x = capped_intersections(funcs, caps, steep);
-    let hi_x = capped_intersections(funcs, caps, shallow);
-    Ok(fine_tune_capped(n, funcs, &lo_x, &hi_x, Some(caps))?.into_report(funcs, Trace::default()))
+    Ok(fine_tune_capped(n, funcs, &lo_x, Some(caps))?.into_report(funcs, Trace::default()))
 }
 
 /// [`Partitioner`](crate::partition::Partitioner) adapter over [`partition_bounded`], exposed through the

@@ -137,19 +137,18 @@ impl Tuned {
     }
 }
 
-/// Fine-tunes the real-valued interval `[lo_i, hi_i]` per processor into
+/// Fine-tunes the steeper bounding line's real-valued intersections into
 /// the best integer allocation with `Σ x_i = n`.
 ///
-/// `lo` and `hi` are the intersection abscissas of each graph with the
-/// steeper and shallower bounding lines respectively.
-pub fn fine_tune<F: CostFunction>(n: u64, funcs: &[F], lo: &[f64], hi: &[f64]) -> Distribution {
-    tune(n, funcs, lo, hi).distribution
+/// `lo` holds those intersection abscissas, one per graph. The greedy
+/// starts from their floors (module docs), so it needs no shallower line.
+pub fn fine_tune<F: CostFunction>(n: u64, funcs: &[F], lo: &[f64]) -> Distribution {
+    tune(n, funcs, lo).distribution
 }
 
 /// [`fine_tune`], keeping the times it evaluated for the report.
-pub(crate) fn tune<F: CostFunction>(n: u64, funcs: &[F], lo: &[f64], hi: &[f64]) -> Tuned {
-    fine_tune_capped(n, funcs, lo, hi, None)
-        .expect("uncapped fine-tuning cannot run out of capacity")
+pub(crate) fn tune<F: CostFunction>(n: u64, funcs: &[F], lo: &[f64]) -> Tuned {
+    fine_tune_capped(n, funcs, lo, None).expect("uncapped fine-tuning cannot run out of capacity")
 }
 
 /// Cap-aware variant used by the bounded formulation: no processor may
@@ -162,12 +161,10 @@ pub(crate) fn fine_tune_capped<F: CostFunction>(
     n: u64,
     funcs: &[F],
     lo: &[f64],
-    hi: &[f64],
     caps: Option<&[u64]>,
 ) -> Result<Tuned> {
     let p = funcs.len();
     assert_eq!(lo.len(), p, "lower bounds length mismatch");
-    assert_eq!(hi.len(), p, "upper bounds length mismatch");
     if let Some(caps) = caps {
         assert_eq!(caps.len(), p, "caps length mismatch");
         let capacity: u64 = caps.iter().fold(0u64, |acc, &c| acc.saturating_add(c));
@@ -253,13 +250,13 @@ mod tests {
 
         // Each machine's key, then each pick's following key: p + r, as
         // the heap's fill and pushes.
-        let tuned = tune(n, &counting, &xs, &xs);
+        let tuned = tune(n, &counting, &xs);
         assert_eq!(calls.get(), p as u64 + r);
         calls.set(0);
         let report = tuned.into_report(&counting, Trace::default());
         assert_eq!(calls.get(), p as u64 - r, "only machines without a residue element");
         assert_eq!(report.makespan.to_bits(), report.distribution.makespan(&cluster).to_bits());
-        assert_eq!(report.distribution, fine_tune(n, &cluster, &xs, &xs));
+        assert_eq!(report.distribution, fine_tune(n, &cluster, &xs));
     }
 
     #[test]
@@ -280,7 +277,7 @@ mod tests {
     #[test]
     fn exact_floors_need_no_adjustment() {
         let funcs = vec![ConstantSpeed::new(10.0), ConstantSpeed::new(20.0)];
-        let d = fine_tune(30, &funcs, &[10.0, 20.0], &[10.0, 20.0]);
+        let d = fine_tune(30, &funcs, &[10.0, 20.0]);
         assert_eq!(d.counts(), &[10, 20]);
     }
 
@@ -289,7 +286,7 @@ mod tests {
         // lo sums to 28, two residue elements must land on the faster
         // processor whose incremental time is lower.
         let funcs = vec![ConstantSpeed::new(10.0), ConstantSpeed::new(1000.0)];
-        let d = fine_tune(30, &funcs, &[9.3, 18.7], &[10.2, 19.9]);
+        let d = fine_tune(30, &funcs, &[9.3, 18.7]);
         assert_eq!(d.total(), 30);
         assert_eq!(d.counts()[1], 21, "both extra elements on the fast machine: {:?}", d);
     }
@@ -298,7 +295,7 @@ mod tests {
     fn overshoot_is_removed_from_slowest() {
         let funcs = vec![ConstantSpeed::new(1.0), ConstantSpeed::new(100.0)];
         // floors sum to 40 but n = 30: the slow machine must shed load.
-        let d = fine_tune(30, &funcs, &[20.0, 20.0], &[20.0, 20.0]);
+        let d = fine_tune(30, &funcs, &[20.0, 20.0]);
         assert_eq!(d.total(), 30);
         assert!(d.counts()[0] < d.counts()[1]);
     }
@@ -306,7 +303,7 @@ mod tests {
     #[test]
     fn minimises_makespan_on_equal_speeds() {
         let funcs: Vec<ConstantSpeed> = (0..4).map(|_| ConstantSpeed::new(10.0)).collect();
-        let d = fine_tune(10, &funcs, &[2.0, 2.0, 2.0, 2.0], &[3.0, 3.0, 3.0, 3.0]);
+        let d = fine_tune(10, &funcs, &[2.0, 2.0, 2.0, 2.0]);
         assert_eq!(d.total(), 10);
         let max = d.counts().iter().max().unwrap();
         let min = d.counts().iter().min().unwrap();
@@ -316,7 +313,7 @@ mod tests {
     #[test]
     fn caps_are_respected() {
         let funcs = vec![ConstantSpeed::new(100.0), ConstantSpeed::new(1.0)];
-        let d = fine_tune_capped(20, &funcs, &[15.0, 1.0], &[19.0, 3.0], Some(&[12, 100]))
+        let d = fine_tune_capped(20, &funcs, &[15.0, 1.0], Some(&[12, 100]))
             .unwrap()
             .distribution;
         assert_eq!(d.total(), 20);
@@ -326,7 +323,7 @@ mod tests {
     #[test]
     fn insufficient_caps_error() {
         let funcs = vec![ConstantSpeed::new(1.0), ConstantSpeed::new(1.0)];
-        let e = fine_tune_capped(100, &funcs, &[1.0, 1.0], &[2.0, 2.0], Some(&[10, 10]))
+        let e = fine_tune_capped(100, &funcs, &[1.0, 1.0], Some(&[10, 10]))
             .unwrap_err();
         assert!(matches!(e, Error::InsufficientCapacity { available: 20, .. }));
     }
@@ -334,7 +331,7 @@ mod tests {
     #[test]
     fn zero_n_gives_zero_distribution() {
         let funcs = vec![ConstantSpeed::new(1.0)];
-        let d = fine_tune(0, &funcs, &[0.0], &[0.4]);
+        let d = fine_tune(0, &funcs, &[0.0]);
         assert_eq!(d.counts(), &[0]);
     }
 
@@ -343,7 +340,7 @@ mod tests {
         // Bounding intervals far from n still converge (robustness beyond
         // the paper's 2p-candidate assumption).
         let funcs = vec![ConstantSpeed::new(3.0), ConstantSpeed::new(7.0)];
-        let d = fine_tune(1000, &funcs, &[0.0, 0.0], &[1.0, 1.0]);
+        let d = fine_tune(1000, &funcs, &[0.0, 0.0]);
         assert_eq!(d.total(), 1000);
         // Proportional to speeds: 300/700.
         assert!((d.counts()[0] as i64 - 300).abs() <= 1);
@@ -355,8 +352,7 @@ mod tests {
         let funcs: Vec<ConstantSpeed> =
             [1.0, 50.0, 2.0, 40.0, 3.0, 60.0].iter().map(|&s| ConstantSpeed::new(s)).collect();
         let lo = [0.0; 6];
-        let hi = [0.9; 6];
-        let d = fine_tune(3, &funcs, &lo, &hi);
+        let d = fine_tune(3, &funcs, &lo);
         assert_eq!(d.total(), 3);
         assert_eq!(
             d.counts(),
@@ -370,7 +366,7 @@ mod tests {
         // The bounding intersections may be far above an n of zero (a
         // degenerate bracket); every element must be shed.
         let funcs = vec![ConstantSpeed::new(5.0), ConstantSpeed::new(9.0)];
-        let d = fine_tune(0, &funcs, &[2.9, 3.7], &[4.0, 5.0]);
+        let d = fine_tune(0, &funcs, &[2.9, 3.7]);
         assert_eq!(d.counts(), &[0, 0]);
     }
 
@@ -380,15 +376,15 @@ mod tests {
         // makespan. The choice must be deterministic across runs and still
         // optimal.
         let funcs = vec![ConstantSpeed::new(10.0), ConstantSpeed::new(10.0)];
-        let first = fine_tune(7, &funcs, &[3.2, 3.2], &[4.1, 4.1]);
-        let second = fine_tune(7, &funcs, &[3.2, 3.2], &[4.1, 4.1]);
+        let first = fine_tune(7, &funcs, &[3.2, 3.2]);
+        let second = fine_tune(7, &funcs, &[3.2, 3.2]);
         assert_eq!(first, second, "tie-breaking must be deterministic");
         assert_eq!(first.total(), 7);
         assert_eq!(first.makespan(&funcs), 0.4, "one machine takes 4, the other 3");
         // More broadly: residue ties on a flat cluster fill the lowest
         // indices first (heap keys carry the index as tie-breaker).
         let flat: Vec<ConstantSpeed> = (0..5).map(|_| ConstantSpeed::new(10.0)).collect();
-        let d = fine_tune(7, &flat, &[1.0; 5], &[2.0; 5]);
+        let d = fine_tune(7, &flat, &[1.0; 5]);
         assert_eq!(d.counts(), &[2, 2, 1, 1, 1]);
     }
 
@@ -405,7 +401,7 @@ mod tests {
         let (xs, _) = oracle::solve_real(n, &funcs).unwrap();
         assert!(xs.iter().any(|x| x.fract() > 1e-6), "optimum must be fractional: {xs:?}");
 
-        let tuned = fine_tune(n, &funcs, &xs, &xs);
+        let tuned = fine_tune(n, &funcs, &xs);
         assert_eq!(tuned.total(), n);
 
         let mut floor: Vec<u64> = xs.iter().map(|x| x.floor() as u64).collect();

@@ -25,14 +25,12 @@ use crate::trace::Trace;
 const MAX_ORACLE_STEPS: usize = 2_000;
 
 /// The converged state of the oracle's slope bisection: the final bracket
-/// and the intersection abscissas of both bounding lines.
+/// and the intersection abscissas of its steep bound.
 struct SlopeSolution {
     shallow: f64,
     steep: f64,
     /// Abscissas at the steep bound (sum ≤ n).
     lo_x: Vec<f64>,
-    /// Abscissas at the shallow bound (sum ≥ n).
-    hi_x: Vec<f64>,
 }
 
 /// Shared slope bisection of [`solve`] and [`solve_real`].
@@ -89,7 +87,7 @@ fn bisect_slope<F: CostFunction>(
             break;
         }
     }
-    Ok(SlopeSolution { shallow, steep, lo_x, hi_x })
+    Ok(SlopeSolution { shallow, steep, lo_x })
 }
 
 /// Solves the real-valued equal-time problem to float resolution, then
@@ -106,7 +104,7 @@ pub fn solve<F: CostFunction>(n: u64, funcs: &[F]) -> Result<PartitionReport> {
         return Ok(empty_report(funcs.len()));
     }
     let s = bisect_slope(n, funcs, true)?;
-    let report = tune(n, funcs, &s.lo_x, &s.hi_x).into_report(funcs, Trace::default());
+    let report = tune(n, funcs, &s.lo_x).into_report(funcs, Trace::default());
     if !report.makespan.is_finite() {
         // A model that degenerates (NaN/∞ speed) inside the allocated range
         // must surface as an error, not as a silently corrupt makespan.

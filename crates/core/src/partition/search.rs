@@ -247,7 +247,7 @@ pub(crate) fn search<F: CostFunction>(
             || region.steep - region.shallow <= f64::EPSILON * region.steep;
         let trial = if resolved { None } else { rule.trial(&region, funcs) };
         let Some(trial) = trial.filter(|&t| region.inside(t)) else {
-            return Ok(tune(n, funcs, &region.lo_x, &region.hi_x).into_report(funcs, trace));
+            return Ok(tune(n, funcs, &region.lo_x).into_report(funcs, trace));
         };
         let xs = sweep(trial);
         let total: f64 = xs.iter().sum();

@@ -69,50 +69,24 @@ impl Partitioner for SortSamplePartitioner {
 pub const DEFAULT_QUERY_GAMMA: f64 = 0.5;
 
 /// Partitioner for superlinear query/join workloads: balances
-/// `x^(1+γ)`-shaped work over the cluster's base model. Exposed through
-/// the planner registry as `query` (with the registry's default
-/// [`DEFAULT_QUERY_GAMMA`]).
-#[derive(Debug, Clone, Copy)]
-pub struct QueryPartitioner {
-    gamma: f64,
-}
-
-impl Default for QueryPartitioner {
-    fn default() -> Self {
-        Self { gamma: DEFAULT_QUERY_GAMMA }
-    }
-}
+/// `x^(1+γ)`-shaped work, with `γ` = [`DEFAULT_QUERY_GAMMA`], over the
+/// cluster's base model. Exposed through the planner registry as `query`.
+/// For another exponent, solve [`QueryCost`]-wrapped models with the
+/// [`CombinedPartitioner`].
+#[derive(Debug, Clone, Copy, Default)]
+pub struct QueryPartitioner;
 
 impl QueryPartitioner {
-    /// Creates the partitioner with the registry's default exponent.
+    /// Creates the partitioner.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Sets the workload exponent γ.
-    ///
-    /// # Panics
-    ///
-    /// If `gamma` is negative or not finite (see [`QueryCost::new`]).
-    pub fn with_gamma(mut self, gamma: f64) -> Self {
-        assert!(
-            gamma.is_finite() && gamma >= 0.0,
-            "query cost exponent must be finite and non-negative"
-        );
-        self.gamma = gamma;
-        self
-    }
-
-    /// The workload exponent γ.
-    pub fn gamma(&self) -> f64 {
-        self.gamma
+        Self
     }
 }
 
 impl Partitioner for QueryPartitioner {
     fn partition<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
         let wrapped: Vec<QueryCost<'_, F>> =
-            funcs.iter().map(|f| QueryCost::new(f, self.gamma)).collect();
+            funcs.iter().map(|f| QueryCost::new(f, DEFAULT_QUERY_GAMMA)).collect();
         CombinedPartitioner.partition(n, &wrapped)
     }
 
@@ -123,7 +97,7 @@ impl Partitioner for QueryPartitioner {
         funcs: &[F],
     ) -> Result<PartitionReport> {
         let wrapped: Vec<QueryCost<'_, F>> =
-            funcs.iter().map(|f| QueryCost::new(f, self.gamma)).collect();
+            funcs.iter().map(|f| QueryCost::new(f, DEFAULT_QUERY_GAMMA)).collect();
         CombinedPartitioner.resolve_from(prev, n, &wrapped)
     }
 }
@@ -174,7 +148,9 @@ mod tests {
     fn query_gamma_zero_is_bit_identical_to_the_plain_combined_solve() {
         let funcs = mixed_cluster();
         let n = 2_000_000;
-        let degenerate = QueryPartitioner::new().with_gamma(0.0).partition(n, &funcs).unwrap();
+        let wrapped: Vec<QueryCost<'_, AnalyticSpeed>> =
+            funcs.iter().map(|f| QueryCost::new(f, 0.0)).collect();
+        let degenerate = CombinedPartitioner::new().partition(n, &wrapped).unwrap();
         let plain = CombinedPartitioner::new().partition(n, &funcs).unwrap();
         assert_eq!(degenerate.distribution.counts(), plain.distribution.counts());
         assert_eq!(degenerate.makespan.to_bits(), plain.makespan.to_bits());
@@ -258,11 +234,5 @@ mod tests {
         }
         let donor = sort.partition(n, &funcs).unwrap().distribution;
         assert!(sort.resolve_from(&donor, n + 1, &funcs).unwrap().trace.warm_bracket);
-    }
-
-    #[test]
-    #[should_panic(expected = "query cost exponent")]
-    fn query_rejects_negative_gamma() {
-        let _ = QueryPartitioner::new().with_gamma(-1.0);
     }
 }

@@ -9,15 +9,15 @@
 //!
 //! * [`AlgorithmId`] — the canonical identifier with stable string names,
 //!   one round-trip-tested [`AlgorithmId::parse`]/`Display` pair, and the
-//!   parameterized `single@SIZE` spelling for the baseline;
-//! * [`DynPartitioner`] — object-safe erased dispatch over
-//!   `&dyn CostFunction` (every speed function is a cost function through
-//!   the blanket time-domain adapter). Because the forwarding impls pass
-//!   *every* trait method through (including the closed-form
-//!   intersection overrides), running the generic [`Partitioner`] through
-//!   a trait object performs the identical sequence of floating-point
-//!   operations: erased results are **bit-exact** against direct generic
-//!   calls;
+//!   parameterized `single@SIZE` spelling for the baseline. Its
+//!   [`solve`](AlgorithmId::solve) and
+//!   [`resolve_from`](AlgorithmId::resolve_from) run the named partitioner
+//!   over `&dyn CostFunction` (every speed function is a cost function
+//!   through the blanket time-domain adapter). Because the forwarding impl
+//!   passes *every* trait method through (including the closed-form
+//!   intersection overrides), the generic [`Partitioner`] performs the
+//!   identical sequence of floating-point operations on erased functions:
+//!   erased results are **bit-exact** against direct generic calls;
 //! * [`registry`] — the static catalog of every production partitioner
 //!   with metadata (aliases, complexity class, paper reference, exactness,
 //!   iteration-bound class and [`CostClass`] capability), including the
@@ -26,9 +26,9 @@
 //!   `query` workload entries.
 //!
 //! Adding an algorithm means adding one registry entry (and one arm in
-//! [`AlgorithmId::instantiate`]); the CLI listing, the daemon's wire
-//! protocol, the conformance sweep and the bench labels pick it up
-//! automatically.
+//! the dispatch behind [`AlgorithmId::solve`]); the CLI listing, the
+//! daemon's wire protocol, the conformance sweep and the bench labels pick
+//! it up automatically.
 //!
 //! ```
 //! use fpm_core::cost::CostFunction;
@@ -172,31 +172,12 @@ impl AlgorithmId {
         }
     }
 
-    /// Instantiates the partitioner behind this id with its default
-    /// configuration. This `match` is the **only** algorithm dispatch
-    /// block in the workspace; every consumer goes through it.
-    pub fn instantiate(&self) -> Box<dyn DynPartitioner> {
-        match self {
-            AlgorithmId::Combined => Box::new(CombinedPartitioner::new()),
-            AlgorithmId::Basic => Box::new(BisectionPartitioner::new()),
-            AlgorithmId::Modified => Box::new(ModifiedPartitioner::new()),
-            AlgorithmId::Secant => Box::new(SecantPartitioner::new()),
-            AlgorithmId::Bounded => Box::new(BoundedPartitioner),
-            AlgorithmId::Contiguous => Box::new(ContiguousPartitioner),
-            AlgorithmId::SortSample => Box::new(SortSamplePartitioner::new()),
-            AlgorithmId::Query => Box::new(QueryPartitioner::new()),
-            AlgorithmId::SingleAt(size) => {
-                Box::new(SingleNumberPartitioner::at_size(*size))
-            }
-        }
-    }
-
     /// Resolves and runs the partitioner on erased cost functions.
     ///
     /// Bit-exact against calling the concrete [`Partitioner`] directly
     /// with the same functions (see the module docs).
     pub fn solve(&self, n: u64, funcs: &[&dyn CostFunction]) -> Result<PartitionReport> {
-        self.instantiate().partition_dyn(n, funcs)
+        self.dispatch(None, n, funcs)
     }
 
     /// Resolves and warm-starts the partitioner from a previous solution's
@@ -211,7 +192,45 @@ impl AlgorithmId {
         n: u64,
         funcs: &[&dyn CostFunction],
     ) -> Result<PartitionReport> {
-        self.instantiate().resolve_from_dyn(prev_counts, n, funcs)
+        self.dispatch(Some(prev_counts), n, funcs)
+    }
+
+    /// Runs the partitioner behind this id, with its default
+    /// configuration, cold or warm-started from the counts `prev`. This
+    /// `match` is the **only** algorithm dispatch block in the workspace;
+    /// every consumer goes through it.
+    fn dispatch(
+        &self,
+        prev: Option<&[u64]>,
+        n: u64,
+        funcs: &[&dyn CostFunction],
+    ) -> Result<PartitionReport> {
+        fn run<P: Partitioner>(
+            partitioner: P,
+            prev: Option<&[u64]>,
+            n: u64,
+            funcs: &[&dyn CostFunction],
+        ) -> Result<PartitionReport> {
+            match prev {
+                None => partitioner.partition(n, funcs),
+                Some(counts) => {
+                    partitioner.resolve_from(&Distribution::new(counts.to_vec()), n, funcs)
+                }
+            }
+        }
+        match *self {
+            AlgorithmId::Combined => run(CombinedPartitioner::new(), prev, n, funcs),
+            AlgorithmId::Basic => run(BisectionPartitioner::new(), prev, n, funcs),
+            AlgorithmId::Modified => run(ModifiedPartitioner::new(), prev, n, funcs),
+            AlgorithmId::Secant => run(SecantPartitioner::new(), prev, n, funcs),
+            AlgorithmId::Bounded => run(BoundedPartitioner, prev, n, funcs),
+            AlgorithmId::Contiguous => run(ContiguousPartitioner, prev, n, funcs),
+            AlgorithmId::SortSample => run(SortSamplePartitioner::new(), prev, n, funcs),
+            AlgorithmId::Query => run(QueryPartitioner::new(), prev, n, funcs),
+            AlgorithmId::SingleAt(size) => {
+                run(SingleNumberPartitioner::at_size(size), prev, n, funcs)
+            }
+        }
     }
 }
 
@@ -467,87 +486,9 @@ pub fn registry() -> &'static [AlgorithmInfo] {
     &REGISTRY
 }
 
-/// Object-safe erased partitioner dispatch.
-///
-/// Blanket-implemented for every [`Partitioner`], so a registry lookup
-/// can return `Box<dyn DynPartitioner>` without each consumer writing its
-/// own `match`. The erased call is bit-exact against the direct generic
-/// call: `&dyn CostFunction` implements [`CostFunction`] through the
-/// forwarding impl, so the partitioner executes the identical
-/// floating-point operation sequence, merely through a vtable. Speed
-/// functions erase the same way — the blanket time-domain adapter makes
-/// every `SpeedFunction` a `CostFunction` first.
-pub trait DynPartitioner: Send + Sync {
-    /// Partitions `n` elements over erased cost functions.
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of the underlying [`Partitioner::partition`].
-    fn partition_dyn(
-        &self,
-        n: u64,
-        funcs: &[&dyn CostFunction],
-    ) -> Result<PartitionReport>;
-
-    /// Warm-starts from the per-processor counts of a previous solution
-    /// (see [`Partitioner::resolve_from`]). The counts are passed as a raw
-    /// slice to stay object-safe; implementations wrap them in a
-    /// [`crate::partition::Distribution`].
-    ///
-    /// # Errors
-    ///
-    /// Exactly the errors of the underlying [`Partitioner::resolve_from`].
-    fn resolve_from_dyn(
-        &self,
-        prev_counts: &[u64],
-        n: u64,
-        funcs: &[&dyn CostFunction],
-    ) -> Result<PartitionReport>;
-}
-
-impl<P: Partitioner + Send + Sync> DynPartitioner for P {
-    fn partition_dyn(
-        &self,
-        n: u64,
-        funcs: &[&dyn CostFunction],
-    ) -> Result<PartitionReport> {
-        self.partition(n, funcs)
-    }
-
-    fn resolve_from_dyn(
-        &self,
-        prev_counts: &[u64],
-        n: u64,
-        funcs: &[&dyn CostFunction],
-    ) -> Result<PartitionReport> {
-        let prev = Distribution::new(prev_counts.to_vec());
-        self.resolve_from(&prev, n, funcs)
-    }
-}
-
-/// A boxed erased partitioner is itself a [`Partitioner`], so generic
-/// consumers (e.g. the execution simulators) accept registry-resolved
-/// algorithms unchanged: `simulate_mm(dim, funcs, &id.instantiate())`.
-impl Partitioner for Box<dyn DynPartitioner> {
-    fn partition<F: CostFunction>(&self, n: u64, funcs: &[F]) -> Result<PartitionReport> {
-        let refs: Vec<&dyn CostFunction> = funcs.iter().map(|f| f as _).collect();
-        (**self).partition_dyn(n, refs.as_slice())
-    }
-
-    fn resolve_from<F: CostFunction>(
-        &self,
-        prev: &Distribution,
-        n: u64,
-        funcs: &[F],
-    ) -> Result<PartitionReport> {
-        let refs: Vec<&dyn CostFunction> = funcs.iter().map(|f| f as _).collect();
-        (**self).resolve_from_dyn(prev.counts(), n, refs.as_slice())
-    }
-}
-
 /// Erases a homogeneous slice of cost functions (speed functions erase
-/// through the blanket adapter) for [`AlgorithmId::solve`] /
-/// [`DynPartitioner::partition_dyn`].
+/// through the blanket adapter) for [`AlgorithmId::solve`] and
+/// [`AlgorithmId::resolve_from`].
 pub fn erase<F: CostFunction>(funcs: &[F]) -> Vec<&dyn CostFunction> {
     funcs.iter().map(|f| f as _).collect()
 }
@@ -664,7 +605,7 @@ mod tests {
     }
 
     #[test]
-    fn every_id_has_an_info_and_every_info_instantiates() {
+    fn every_id_has_an_info_and_every_info_solves() {
         for info in registry() {
             let id = info.id_with(5e5);
             assert_eq!(id.info().name, info.name);
@@ -674,7 +615,7 @@ mod tests {
                 AlgorithmId::parse(info.example).unwrap().family(),
                 info.name
             );
-            // And the instance solves a trivial problem.
+            // And the entry solves a trivial problem.
             let funcs = sample_cluster();
             let refs = erase(&funcs);
             let report = id.solve(10_000, &refs).unwrap();
@@ -799,16 +740,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn boxed_dyn_partitioner_is_a_partitioner() {
-        let funcs = sample_cluster();
-        let boxed = AlgorithmId::Combined.instantiate();
-        let via_box = boxed.partition(1_000_000, &funcs).unwrap();
-        let direct = CombinedPartitioner::new().partition(1_000_000, &funcs).unwrap();
-        assert_eq!(via_box.distribution.counts(), direct.distribution.counts());
-        assert_eq!(via_box.makespan.to_bits(), direct.makespan.to_bits());
     }
 
     #[test]

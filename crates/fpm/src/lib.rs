@@ -46,7 +46,7 @@ pub mod prelude {
         QueryPartitioner, SecantPartitioner, SingleNumberPartitioner, SlopeMode,
         SortSamplePartitioner, DEFAULT_QUERY_GAMMA,
     };
-    pub use fpm_core::planner::{registry, AlgorithmId, AlgorithmInfo, DynPartitioner};
+    pub use fpm_core::planner::{registry, AlgorithmId, AlgorithmInfo};
     pub use fpm_core::speed::{
         build_speed_band, AnalyticSpeed, BuilderConfig, ConstantSpeed, PiecewiseLinearSpeed,
         SpeedBand, SpeedFunction, WidthLaw,

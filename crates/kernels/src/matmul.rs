@@ -107,7 +107,7 @@ pub fn matmul_abt_blocked(a: &Matrix, b: &Matrix, tile: usize) -> Matrix {
 }
 
 /// The seed's plain tiled triple loop, kept as the packed kernel's
-/// benchmark baseline (`cargo bench --bench kernels`).
+/// baseline in `repro bench_partition`.
 pub fn matmul_abt_blocked_loop(a: &Matrix, b: &Matrix, tile: usize) -> Matrix {
     assert_eq!(a.cols(), b.cols());
     assert!(tile > 0);

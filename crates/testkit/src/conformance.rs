@@ -732,10 +732,10 @@ impl CostFunction for Patchy {
 /// plan (`None` for an error, or for caps that ran out).
 type ResidueRun = (String, &'static str, Option<Vec<u64>>, Option<Vec<u64>>);
 
-/// [`fine_tune`] from the bracket `[lo, lo]` against the naive greedy from
-/// the same floors.
+/// [`fine_tune`] from the steep intersections `lo` against the naive
+/// greedy from the same floors.
 fn tune_run<F: CostFunction>(input: String, n: u64, funcs: &[F], lo: &[f64]) -> ResidueRun {
-    let plan = fine_tune(n, funcs, lo, lo).counts().to_vec();
+    let plan = fine_tune(n, funcs, lo).counts().to_vec();
     (input, "fine-tune", Some(plan), greedy_residue(n, funcs, lo, None))
 }
 

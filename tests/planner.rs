@@ -14,8 +14,8 @@
 //!
 //! The direct side is an explicit `(id, concrete call)` pairing table, not
 //! a dispatch block: the pairing itself is part of what the test pins
-//! down (if the registry's `instantiate` ever wired a name to the wrong
-//! solver, the comparison would fail loudly).
+//! down (if the planner's dispatch ever wired a name to the wrong solver,
+//! the comparison would fail loudly).
 //!
 //! Case count scales with `FPM_TESTKIT_CASES` (default 100, the
 //! acceptance floor); seeds derive from `FPM_TESTKIT_SEED`.
