@@ -127,7 +127,7 @@ mod tests {
     use fpm_core::speed::SpeedFunction;
     use fpm_simnet::profile::AppProfile;
     use fpm_simnet::speed_model::MachineSpeed;
-    use fpm_simnet::{testbeds, workload};
+    use fpm_simnet::testbeds;
 
     #[test]
     fn simulated_models_are_exactly_shape_invariant() {
@@ -135,9 +135,10 @@ mod tests {
         // give identical speeds — the idealised version of Tables 3-4.
         let spec = &testbeds::table2()[7]; // X8, the machine the paper uses
         let m = MachineSpeed::for_app(spec, AppProfile::MatrixMult);
-        let e1 = workload::mm_elements_rect(1024, 1024) as f64;
-        let e2 = workload::mm_elements_rect(512, 2048) as f64;
-        // Same 2·n1·n2 but different n1² term: speeds close, not equal.
+        // A n1×n2 by n2×n1 product stores 2·n1·n2 + n1² elements: the same
+        // 2·n1·n2 but a different n1² term, so speeds are close, not equal.
+        let e1 = (2 * 1024 * 1024 + 1024 * 1024) as f64;
+        let e2 = (2 * 512 * 2048 + 512 * 512) as f64;
         let s1 = m.speed(e1);
         let s2 = m.speed(e2);
         assert!((s1 - s2).abs() / s1 < 0.1, "{s1} vs {s2}");

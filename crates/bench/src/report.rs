@@ -8,7 +8,7 @@
 //! {
 //!   "schema_version": 2,
 //!   "experiment": "<id>",
-//!   "git_commit": "<hex or \"unknown\">",
+//!   "git_commit": "<hex, with \"-dirty\" on an uncommitted tree, or \"unknown\">",
 //!   "results": { ...experiment-specific... }
 //! }
 //! ```
@@ -131,18 +131,24 @@ impl Report {
     }
 }
 
-/// The current git commit (short of nothing to hash against, `"unknown"`
-/// outside a repository or without git on PATH).
+/// The current git commit, with `-dirty` appended when tracked files
+/// differ from it (`git diff --quiet HEAD` fails), so that a record written
+/// on an uncommitted tree does not name its parent as if it were that
+/// tree; `"unknown"` outside a repository or without git on PATH.
 pub fn git_commit() -> String {
-    Command::new("git")
-        .args(["rev-parse", "HEAD"])
-        .output()
-        .ok()
+    let git = |args: &[&str]| Command::new("git").args(args).output().ok();
+    let head = git(&["rev-parse", "HEAD"])
         .filter(|o| o.status.success())
         .and_then(|o| String::from_utf8(o.stdout).ok())
         .map(|s| s.trim().to_owned())
-        .filter(|s| !s.is_empty())
-        .unwrap_or_else(|| "unknown".to_owned())
+        .filter(|s| !s.is_empty());
+    match head {
+        None => "unknown".to_owned(),
+        Some(head) if git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| !o.status.success()) => {
+            format!("{head}-dirty")
+        }
+        Some(head) => head,
+    }
 }
 
 /// Wraps an experiment's results in the shared envelope.
@@ -239,8 +245,9 @@ mod tests {
     #[test]
     fn git_commit_is_hex_or_unknown() {
         let c = git_commit();
+        let hex = c.strip_suffix("-dirty").unwrap_or(&c);
         assert!(
-            c == "unknown" || (c.len() == 40 && c.chars().all(|ch| ch.is_ascii_hexdigit())),
+            c == "unknown" || (hex.len() == 40 && hex.chars().all(|ch| ch.is_ascii_hexdigit())),
             "{c}"
         );
     }

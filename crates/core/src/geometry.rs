@@ -26,30 +26,6 @@
 
 use crate::cost::CostFunction;
 
-/// Slope of the origin line passing through the point `(x, s)`.
-///
-/// The practical slope representation is the tangent `s/x`, which the paper
-/// notes is preferable to angles "for efficiency from computational point
-/// of view"; [`crate::partition::BisectionPartitioner`] can bisect either.
-#[inline]
-pub fn slope_through(x: f64, s: f64) -> f64 {
-    s / x
-}
-
-/// Makespan (common execution time) of the distribution induced by an
-/// origin line of slope `c`: every processor satisfies
-/// `x_i/s_i(x_i) = 1/c`.
-#[inline]
-pub fn makespan_of_slope(slope: f64) -> f64 {
-    1.0 / slope
-}
-
-/// Slope of the origin line whose induced distribution has makespan `t`.
-#[inline]
-pub fn slope_of_makespan(t: f64) -> f64 {
-    1.0 / t
-}
-
 /// Upper bound on intersection abscissas, used to bracket searches on
 /// functions with unbounded domain.
 const X_CAP: f64 = 1e18;
@@ -213,12 +189,6 @@ mod tests {
     }
 
     #[test]
-    fn slope_makespan_roundtrip() {
-        let t = 123.456;
-        assert!((makespan_of_slope(slope_of_makespan(t)) - t).abs() < 1e-12);
-    }
-
-    #[test]
     fn intersections_match_individual_calls() {
         let funcs =
             vec![AnalyticSpeed::constant(10.0), AnalyticSpeed::decreasing(20.0, 1e4, 1.5)];
@@ -295,6 +265,41 @@ mod tests {
         for bad in [f64::NAN, f64::INFINITY, -1.0] {
             let x = intersect_origin_line(&Broken(bad), 0.5);
             assert_eq!(x.to_bits(), numeric.to_bits(), "closed form {bad}");
+        }
+    }
+
+    #[test]
+    fn numeric_intersections_take_a_pinned_number_of_evaluations() {
+        // A model with only `time` has no closed form, so every call runs
+        // the two early-exit probes, doubling from x = 1 past the root and
+        // bisection to a relative width of 1e-9. The count depends on the
+        // root's size, not on the shape.
+        struct Counting<'a> {
+            f: AnalyticSpeed,
+            calls: &'a std::cell::Cell<u64>,
+        }
+        impl CostFunction for Counting<'_> {
+            fn time(&self, x: f64) -> f64 {
+                self.calls.set(self.calls.get() + 1);
+                self.f.time(x)
+            }
+        }
+        let shapes = [
+            AnalyticSpeed::decreasing(200.0, 1e6, 2.0),
+            AnalyticSpeed::saturating(150.0, 1000.0),
+            AnalyticSpeed::unimodal(250.0, 1e4, 5e6, 2.0),
+            AnalyticSpeed::paging(300.0, 2e6, 3.0),
+        ];
+        for shape in shapes {
+            let calls = std::cell::Cell::new(0);
+            let f = Counting { f: shape, calls: &calls };
+            let evaluations = [1e3, 1e6, 1e9, 2.5e9].map(|x| {
+                let slope = f.rate(x);
+                calls.set(0);
+                intersect_origin_line(&f, slope);
+                calls.get()
+            });
+            assert_eq!(evaluations, [42, 52, 62, 65], "{:?}", f.f);
         }
     }
 

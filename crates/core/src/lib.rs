@@ -37,7 +37,8 @@
 //! `n` (paper Fig. 4). Algorithms provided:
 //!
 //! * [`partition::SingleNumberPartitioner`] — the classical constant-speed
-//!   baseline (naive `O(p²)` and `O(p·log p)` variants);
+//!   baseline, rounded in `O(p·log p)` by the fine-tuning's residue routine
+//!   (the naive `O(p²)` loop is `fpm-testkit`'s reference for it);
 //! * [`partition::BisectionPartitioner`] — slope bisection of the region
 //!   between two origin lines; best-case `O(p·log n)` (paper Figs. 7–8);
 //! * [`partition::ModifiedPartitioner`] — bisection of the discrete *space

@@ -1,5 +1,5 @@
 //! The general partitioning formulation (paper §1, reference \[20\]):
-//! weighted elements and per-processor upper bounds.
+//! per-processor upper bounds.
 //!
 //! The paper's main text solves the "simple variant" — unit weights, no
 //! bounds. The general problem it is a stepping stone towards adds:
@@ -9,13 +9,14 @@
 //! 2. element weights `w_j`, with the sum of weights per partition required
 //!    to be proportional to the owning processor's speed.
 //!
-//! The bounded unit-weight problem remains exactly solvable by a
-//! *water-filling* variant of the geometric search: the allocation induced
-//! by a line of slope `c` is `min(x_i(c), b_i)`, still monotone in the
-//! slope, so the same bisection applies. The discrete weighted problem is
-//! NP-hard in general (it contains multiprocessor scheduling); the provided
-//! solver computes the continuous optimum and rounds it with an LPT-style
-//! greedy, which is the standard practical compromise.
+//! This module solves the first: the bounded unit-weight problem remains
+//! exactly solvable by a *water-filling* variant of the geometric search.
+//! The allocation induced by a line of slope `c` is `min(x_i(c), b_i)`,
+//! still monotone in the slope, so the same bisection applies. The
+//! discrete weighted problem is NP-hard in general (it contains
+//! multiprocessor scheduling); its well-ordered special case, where each
+//! processor takes a contiguous run of the items, is
+//! [`partition_contiguous`](super::partition_contiguous).
 
 use super::fine_tune::fine_tune_capped;
 use super::problem::{empty_report, validate_processors, PartitionReport};
@@ -130,97 +131,6 @@ impl super::problem::Partitioner for BoundedPartitioner {
     }
 }
 
-/// A weighted-items partition: which processor owns each item.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WeightedAssignment {
-    /// `owner[j]` is the processor index assigned item `j`.
-    pub owner: Vec<usize>,
-    /// Total weight per processor.
-    pub loads: Vec<f64>,
-    /// Number of items per processor.
-    pub item_counts: Vec<u64>,
-    /// Maximum per-processor execution time, evaluating each speed function
-    /// at the processor's total assigned weight.
-    pub makespan: f64,
-}
-
-/// Assigns weighted items to processors, respecting per-processor item
-/// count caps, aiming to equalise `load_i / s_i(load_i)`.
-///
-/// Greedy LPT over the functional model: items are sorted by decreasing
-/// weight and each goes to the processor minimising its post-assignment
-/// execution time among processors with spare item capacity. The
-/// continuous relaxation of this problem is exactly the unit-element
-/// problem with `x` measured in weight units, so on near-uniform weights
-/// the greedy converges to the geometric optimum.
-///
-/// # Errors
-///
-/// [`Error::InsufficientCapacity`] if `Σ caps` is fewer than the number of
-/// items.
-pub fn partition_weighted<F: CostFunction>(
-    weights: &[f64],
-    funcs: &[F],
-    caps: Option<&[u64]>,
-) -> Result<WeightedAssignment> {
-    validate_processors(funcs)?;
-    let p = funcs.len();
-    if let Some(c) = caps {
-        assert_eq!(c.len(), p, "caps length mismatch");
-        let capacity: u64 = c.iter().fold(0u64, |a, &x| a.saturating_add(x));
-        if capacity < weights.len() as u64 {
-            return Err(Error::InsufficientCapacity {
-                requested: weights.len() as u64,
-                available: capacity,
-            });
-        }
-    }
-    assert!(
-        weights.iter().all(|w| w.is_finite() && *w >= 0.0),
-        "weights must be non-negative and finite"
-    );
-    let cap_of = |i: usize| caps.map_or(u64::MAX, |c| c[i]);
-
-    // Sort items by decreasing weight (indices).
-    let mut order: Vec<usize> = (0..weights.len()).collect();
-    order.sort_by(|&a, &b| weights[b].total_cmp(&weights[a]));
-
-    let mut owner = vec![0usize; weights.len()];
-    let mut loads = vec![0.0f64; p];
-    let mut item_counts = vec![0u64; p];
-    for &j in &order {
-        let w = weights[j];
-        // Pick the processor minimising the post-assignment time.
-        let mut best = usize::MAX;
-        let mut best_time = f64::INFINITY;
-        for i in 0..p {
-            if item_counts[i] >= cap_of(i) {
-                continue;
-            }
-            let t = funcs[i].time(loads[i] + w);
-            if t < best_time {
-                best_time = t;
-                best = i;
-            }
-        }
-        if best == usize::MAX {
-            return Err(Error::InsufficientCapacity {
-                requested: weights.len() as u64,
-                available: item_counts.iter().sum(),
-            });
-        }
-        owner[j] = best;
-        loads[best] += w;
-        item_counts[best] += 1;
-    }
-    let makespan = loads
-        .iter()
-        .zip(funcs)
-        .map(|(&l, f)| f.time(l))
-        .fold(0.0, f64::max);
-    Ok(WeightedAssignment { owner, loads, item_counts, makespan })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -265,50 +175,8 @@ mod tests {
     }
 
     #[test]
-    fn weighted_assignment_balances_heterogeneous_machines() {
-        let funcs = vec![ConstantSpeed::new(100.0), ConstantSpeed::new(50.0)];
-        let weights = vec![1.0; 300];
-        let a = partition_weighted(&weights, &funcs, None).unwrap();
-        assert_eq!(a.owner.len(), 300);
-        // ~2:1 split.
-        assert!((a.loads[0] - 200.0).abs() <= 2.0, "loads: {:?}", a.loads);
-        let t0 = a.loads[0] / 100.0;
-        let t1 = a.loads[1] / 50.0;
-        assert!((t0 - t1).abs() / t0 < 0.05);
-    }
-
-    #[test]
-    fn weighted_respects_caps() {
-        let funcs = vec![ConstantSpeed::new(1000.0), ConstantSpeed::new(1.0)];
-        let weights = vec![1.0; 20];
-        let a = partition_weighted(&weights, &funcs, Some(&[5, 100])).unwrap();
-        assert_eq!(a.item_counts[0], 5, "fast machine hits its cap");
-        assert_eq!(a.item_counts[1], 15);
-    }
-
-    #[test]
-    fn weighted_uneven_items_prefer_fast_machine_for_big_items() {
-        let funcs = vec![ConstantSpeed::new(100.0), ConstantSpeed::new(10.0)];
-        let weights = vec![100.0, 1.0, 1.0, 1.0];
-        let a = partition_weighted(&weights, &funcs, None).unwrap();
-        assert_eq!(a.owner[0], 0, "the heavy item goes to the fast machine");
-        assert!((a.makespan - funcs[0].time(a.loads[0])).abs() < 1e-9
-            || (a.makespan - funcs[1].time(a.loads[1])).abs() < 1e-9);
-    }
-
-    #[test]
-    fn weighted_infeasible_caps_error() {
-        let funcs = vec![ConstantSpeed::new(1.0)];
-        let weights = vec![1.0; 5];
-        assert!(partition_weighted(&weights, &funcs, Some(&[3])).is_err());
-    }
-
-    #[test]
     fn zero_items() {
         let funcs = vec![ConstantSpeed::new(1.0)];
-        let a = partition_weighted(&[], &funcs, None).unwrap();
-        assert!(a.owner.is_empty());
-        assert_eq!(a.makespan, 0.0);
         let r = partition_bounded(0, &funcs, &[10]).unwrap();
         assert_eq!(r.distribution.total(), 0);
     }

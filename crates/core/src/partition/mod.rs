@@ -13,13 +13,13 @@
 //!
 //! | Algorithm | Complexity | Paper |
 //! |---|---|---|
-//! | [`SingleNumberPartitioner`] | `O(p²)` / `O(p·log p)` | baseline, refs \[5\]–\[7\] |
+//! | [`SingleNumberPartitioner`] | `O(p·log p)` | baseline, refs \[5\]–\[7\] |
 //! | [`BisectionPartitioner`] | best `O(p·log n)`, worst `O(p·n)` | Figs. 7–8 |
 //! | [`ModifiedPartitioner`] | `O(p²·log n)` guaranteed | Figs. 10–12 |
 //! | [`CombinedPartitioner`] | adaptive hybrid | Fig. 15 |
 //! | [`oracle::solve`] | reference exact solver | test oracle |
 //! | [`SecantPartitioner`] | superlinear in practice | extension towards the "ideal algorithm" |
-//! | [`bounded`] / [`BoundedPartitioner`] | caps + weights extension | ref \[20\] |
+//! | [`bounded`] / [`BoundedPartitioner`] | per-processor caps extension | ref \[20\] |
 //! | [`partition_contiguous`] / [`ContiguousPartitioner`] | well-ordered arrays | ref \[20\] taxonomy |
 //! | [`SortSamplePartitioner`] | `x·log x` sort workloads | cost-model extension |
 //! | [`QueryPartitioner`] | superlinear `x^(1+γ)` query/join workloads | cost-model extension |
@@ -54,5 +54,5 @@ pub use initial::{bracket_from_slope, bracket_slopes, initial_slopes, BracketPro
 pub use modified::ModifiedPartitioner;
 pub use problem::{seed_slope, Distribution, PartitionReport, Partitioner};
 pub use secant::SecantPartitioner;
-pub use single_number::{RoundingVariant, SingleNumberPartitioner};
+pub use single_number::SingleNumberPartitioner;
 pub use workload::{QueryPartitioner, SortSamplePartitioner, DEFAULT_QUERY_GAMMA};

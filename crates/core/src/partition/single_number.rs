@@ -9,11 +9,14 @@
 //! the resulting distribution can even be *inversely* proportional to the
 //! true speeds once paging sets in.
 //!
-//! Two rounding variants are provided, matching the complexities quoted in
-//! paper §2: the naive incremental `O(p²)` algorithm of reference \[6\] and
-//! the `O(p·log p)` refinement, here the fine-tuning's residue routine
-//! (`O(p)` selection, or a heap when one processor must take two
-//! elements).
+//! The proportional floors leave an integer residue, which goes one element
+//! at a time to the processor with the smallest post-assignment time. Paper
+//! §2 quotes two complexities for that greedy: the naive incremental
+//! `O(p²)` loop of reference \[6\] and the `O(p·log p)` refinement. This
+//! module runs the refinement, the fine-tuning's residue routine (`O(p)`
+//! selection, or a heap when one processor must take two elements). The
+//! naive loop lives on in `fpm-testkit` as the reference its residue
+//! differential checks this one against.
 
 use super::fine_tune::assign_residue;
 use super::problem::{empty_report, validate_processors, Distribution, PartitionReport,
@@ -22,21 +25,6 @@ use crate::cost::CostFunction;
 use crate::error::{Error, Result};
 use crate::trace::Trace;
 
-/// How the proportional distribution's integer residue is assigned.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum RoundingVariant {
-    /// Scan all processors for each residue element (`O(p²)`), the naive
-    /// implementation of reference \[6\].
-    Naive,
-    /// The same greedy in `O(p·log p)` or better: the residue goes to the
-    /// processors with the smallest post-assignment times, picked by
-    /// selection in `O(p)` when none of them must take two elements, else
-    /// through a binary heap (the fine-tuning's residue routine). The
-    /// plan is always the heap's.
-    #[default]
-    Heap,
-}
-
 /// Partitioner using the single-number performance model.
 #[derive(Debug, Clone, Copy)]
 pub struct SingleNumberPartitioner {
@@ -44,8 +32,6 @@ pub struct SingleNumberPartitioner {
     /// its single number (the paper's experiments use e.g. the speed of a
     /// 500×500 or 4000×4000 matrix multiplication).
     pub reference_size: f64,
-    /// Rounding variant.
-    pub variant: RoundingVariant,
 }
 
 impl SingleNumberPartitioner {
@@ -55,13 +41,7 @@ impl SingleNumberPartitioner {
             reference_size.is_finite() && reference_size > 0.0,
             "reference size must be positive and finite"
         );
-        Self { reference_size, variant: RoundingVariant::default() }
-    }
-
-    /// Selects the rounding variant.
-    pub fn with_variant(mut self, variant: RoundingVariant) -> Self {
-        self.variant = variant;
-        self
+        Self { reference_size }
     }
 
     /// Partitions using explicit constant speeds (already-sampled numbers).
@@ -108,35 +88,14 @@ impl SingleNumberPartitioner {
                 floor
             })
             .collect();
-        let residue = n - assigned;
-        match self.variant {
-            RoundingVariant::Naive => naive_residue(&mut counts, speeds, residue),
-            RoundingVariant::Heap => {
-                assign_residue(&mut counts, residue, |i, c| {
-                    (speeds[i] > 0.0).then(|| c.saturating_add(1) as f64 / speeds[i])
-                })
-                .expect("positive total speed guarantees candidates");
-            }
-        }
+        // The residue goes to the smallest post-assignment times
+        // `(x_i+1)/s_i`, ties (times that overflow to ∞ included) to the
+        // lower index.
+        assign_residue(&mut counts, n - assigned, |i, c| {
+            (speeds[i] > 0.0).then(|| c.saturating_add(1) as f64 / speeds[i])
+        })
+        .expect("positive total speed guarantees candidates");
         Ok(Distribution::new(counts))
-    }
-}
-
-/// The naive `O(p²)` residue loop: for each remaining element scan all
-/// processors for the one minimising the post-assignment time `(x_i+1)/s_i`,
-/// in the heap's order (`total_cmp`, then index), so times that overflow
-/// to ∞ still go to the lower index.
-fn naive_residue(counts: &mut [u64], speeds: &[f64], residue: u64) {
-    for _ in 0..residue {
-        let (_, best) = counts
-            .iter()
-            .zip(speeds)
-            .enumerate()
-            .filter(|&(_, (_, &s))| s > 0.0)
-            .map(|(i, (&c, &s))| (c.saturating_add(1) as f64 / s, i))
-            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))
-            .expect("positive total speed guarantees candidates");
-        counts[best] += 1;
     }
 }
 
@@ -171,68 +130,12 @@ mod tests {
     }
 
     #[test]
-    fn naive_and_heap_agree() {
-        let speeds = vec![33.0, 77.0, 11.0, 59.0, 101.0];
-        for n in [1u64, 7, 100, 999, 12345] {
-            let naive = SingleNumberPartitioner::at_size(1.0)
-                .with_variant(RoundingVariant::Naive)
-                .partition_with_speeds(n, &speeds)
-                .unwrap();
-            let heap = SingleNumberPartitioner::at_size(1.0)
-                .with_variant(RoundingVariant::Heap)
-                .partition_with_speeds(n, &speeds)
-                .unwrap();
-            assert_eq!(naive, heap, "variants diverge at n = {n}");
-        }
-        // Seeded speeds: up to 300 machines, speed ratios up to 10⁴, sizes
-        // up to 2⁶⁰, where rounding can leave a residue beyond p.
-        use rand::{Rng, SeedableRng};
-        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0x5146_1E00_0001);
-        for case in 0..120 {
-            let p = rng.gen_range(1..=300usize);
-            let ratio = 10f64.powf(rng.gen_range(0.0..=4.0));
-            let speeds: Vec<f64> = (0..p).map(|_| rng.gen_range(1.0..=ratio)).collect();
-            let n = 2f64.powf(rng.gen_range(0.0..=60.0)) as u64;
-            let [naive, heap] = [RoundingVariant::Naive, RoundingVariant::Heap].map(|variant| {
-                SingleNumberPartitioner::at_size(1.0)
-                    .with_variant(variant)
-                    .partition_with_speeds(n, &speeds)
-                    .unwrap()
-            });
-            assert_eq!(naive, heap, "case {case}: p = {p}, n = {n}, ratio {ratio}");
-        }
-        // Extreme speeds: subnormal ones, whose times overflow to ∞, and
-        // ones near `f64::MAX`, whose sum does.
-        let extremes: [&[f64]; 5] = [
-            &[1e-310, 1e-310],
-            &[5e-324, 1e-310, 2.5e-308],
-            &[1e-310, 1.0, 0.0],
-            &[f64::MAX, f64::MAX / 3.0, 1.0],
-            &[f64::MAX, 5e-324],
-        ];
-        for speeds in extremes {
-            for n in [1u64, 2, 3, 17, 1000, 1 << 40] {
-                let [naive, heap] = [RoundingVariant::Naive, RoundingVariant::Heap].map(|variant| {
-                    SingleNumberPartitioner::at_size(1.0)
-                        .with_variant(variant)
-                        .partition_with_speeds(n, speeds)
-                        .unwrap()
-                });
-                assert_eq!(naive, heap, "speeds {speeds:?}, n = {n}");
-            }
-        }
-    }
-
-    #[test]
-    fn naive_residue_ties_overflowing_times_to_the_lower_index() {
+    fn residue_ties_overflowing_times_to_the_lower_index() {
         // Subnormal speeds: every post-assignment time is ∞.
-        for variant in [RoundingVariant::Naive, RoundingVariant::Heap] {
-            let d = SingleNumberPartitioner::at_size(1.0)
-                .with_variant(variant)
-                .partition_with_speeds(3, &[1e-310, 1e-310])
-                .unwrap();
-            assert_eq!(d.counts(), &[2, 1], "{variant:?}");
-        }
+        let d = SingleNumberPartitioner::at_size(1.0)
+            .partition_with_speeds(3, &[1e-310, 1e-310])
+            .unwrap();
+        assert_eq!(d.counts(), &[2, 1]);
     }
 
     #[test]
@@ -306,14 +209,9 @@ mod tests {
             (1 << 53, &[f64::MAX, f64::MAX]),
         ];
         for (n, speeds) in cases {
-            for variant in [RoundingVariant::Naive, RoundingVariant::Heap] {
-                let d = SingleNumberPartitioner::at_size(1.0)
-                    .with_variant(variant)
-                    .partition_with_speeds(n, speeds)
-                    .unwrap();
-                let total = d.counts().iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
-                assert_eq!(total, Some(n), "{variant:?} at n = {n}, speeds {speeds:?}");
-            }
+            let d = SingleNumberPartitioner::at_size(1.0).partition_with_speeds(n, speeds).unwrap();
+            let total = d.counts().iter().try_fold(0u64, |acc, &c| acc.checked_add(c));
+            assert_eq!(total, Some(n), "n = {n}, speeds {speeds:?}");
         }
     }
 

@@ -164,17 +164,6 @@ impl SpeedBand {
         self.interp(x, |k| (k.lo + k.hi) / 2.0)
     }
 
-    /// Relative band width at `x` (`(hi−lo)/mid`); `0` if the mid speed is
-    /// zero.
-    pub fn relative_width(&self, x: f64) -> f64 {
-        let m = self.mid(x);
-        if m <= 0.0 {
-            0.0
-        } else {
-            (self.upper(x) - self.lower(x)) / m
-        }
-    }
-
     /// Reduces the band to its mid curve as a piece-wise linear speed
     /// function — the representation the partitioning algorithms consume
     /// when fluctuations are moderate (paper §1: "representation of the
@@ -183,26 +172,6 @@ impl SpeedBand {
     pub fn midline(&self) -> Result<PiecewiseLinearSpeed> {
         PiecewiseLinearSpeed::new(
             self.knots.iter().map(|k| (k.x, (k.lo + k.hi) / 2.0)).collect(),
-        )
-    }
-
-    /// Shifts the whole band down by a constant speed `delta ≥ 0`, clamping
-    /// at zero: the paper's model of additional heavy load ("the addition of
-    /// heavy loads just shifts the band to a lower level with the width of
-    /// the band remaining constant").
-    pub fn shifted_down(&self, delta: f64) -> Result<Self> {
-        if !(delta.is_finite() && delta >= 0.0) {
-            return Err(Error::InvalidParameter("shift must be non-negative and finite"));
-        }
-        Self::from_points(
-            self.knots
-                .iter()
-                .map(|k| BandPoint {
-                    x: k.x,
-                    lo: (k.lo - delta).max(0.0),
-                    hi: (k.hi - delta).max(0.0),
-                })
-                .collect(),
         )
     }
 }
@@ -214,6 +183,11 @@ mod tests {
 
     fn sizes() -> Vec<f64> {
         (1..=20).map(|k| k as f64 * 1e5).collect()
+    }
+
+    /// Relative band width at `x`: `(hi − lo)/mid`.
+    fn relative_width(band: &SpeedBand, x: f64) -> f64 {
+        (band.upper(x) - band.lower(x)) / band.mid(x)
     }
 
     #[test]
@@ -246,7 +220,7 @@ mod tests {
         assert!((band.mid(x) - f.speed(x)).abs() / f.speed(x) < 0.01);
         assert!(band.lower(x) < band.mid(x));
         assert!(band.upper(x) > band.mid(x));
-        assert!((band.relative_width(x) - 0.10).abs() < 0.01);
+        assert!((relative_width(&band, x) - 0.10).abs() < 0.01);
     }
 
     #[test]
@@ -254,7 +228,7 @@ mod tests {
         let f = AnalyticSpeed::constant(100.0);
         let law = WidthLaw::Declining { w0: 0.40, w_inf: 0.06, x_scale: 2e5 };
         let band = SpeedBand::around(&f, law, &sizes()).unwrap();
-        assert!(band.relative_width(1e5) > band.relative_width(1.9e6));
+        assert!(relative_width(&band, 1e5) > relative_width(&band, 1.9e6));
     }
 
     #[test]
@@ -264,27 +238,6 @@ mod tests {
         let mid = band.midline().unwrap();
         use crate::speed::function::SpeedFunction as _;
         assert!((mid.speed(5e5) - f.speed(5e5)).abs() / f.speed(5e5) < 0.05);
-    }
-
-    #[test]
-    fn shift_preserves_absolute_width() {
-        let f = AnalyticSpeed::constant(100.0);
-        let band = SpeedBand::around(&f, WidthLaw::Constant(0.20), &sizes()).unwrap();
-        let shifted = band.shifted_down(30.0).unwrap();
-        let x = 5e5;
-        let w_before = band.upper(x) - band.lower(x);
-        let w_after = shifted.upper(x) - shifted.lower(x);
-        assert!((w_before - w_after).abs() < 1e-9, "width constant under load shift");
-        assert!((band.mid(x) - shifted.mid(x) - 30.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn shift_clamps_at_zero() {
-        let f = AnalyticSpeed::constant(10.0);
-        let band = SpeedBand::around(&f, WidthLaw::Constant(0.10), &sizes()).unwrap();
-        let shifted = band.shifted_down(100.0).unwrap();
-        assert_eq!(shifted.lower(5e5), 0.0);
-        assert_eq!(shifted.upper(5e5), 0.0);
     }
 
     #[test]

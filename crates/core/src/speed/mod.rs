@@ -21,7 +21,6 @@ mod analytic;
 mod band;
 pub mod builder;
 mod function;
-mod hierarchical;
 mod piecewise;
 pub mod refine;
 pub mod surface;
@@ -30,7 +29,6 @@ pub use analytic::AnalyticSpeed;
 pub use band::{BandPoint, SpeedBand, WidthLaw};
 pub use builder::{build_speed_band, BuildOutcome, BuilderConfig, Measurer};
 pub use function::{check_single_intersection, ConstantSpeed, ScaledSpeed, SpeedFunction};
-pub use hierarchical::{HierarchicalSpeed, MemoryLevel};
 pub use piecewise::PiecewiseLinearSpeed;
 pub use refine::{ModelRefiner, RefineConfig, RefineOutcome, RejectReason};
 pub use surface::{

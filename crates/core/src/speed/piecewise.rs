@@ -86,28 +86,6 @@ impl PiecewiseLinearSpeed {
         Ok(Self { points })
     }
 
-    /// Builds from unsorted measurements, sorting by size and merging
-    /// duplicate abscissas by averaging their speeds.
-    pub fn from_measurements(mut measurements: Vec<(f64, f64)>) -> Result<Self> {
-        measurements.retain(|&(x, s)| x.is_finite() && s.is_finite());
-        measurements.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite"));
-        let mut merged: Vec<(f64, f64)> = Vec::with_capacity(measurements.len());
-        let mut run = 1.0f64;
-        for (x, s) in measurements {
-            match merged.last_mut() {
-                Some(last) if last.0 == x => {
-                    run += 1.0;
-                    last.1 += (s - last.1) / run;
-                }
-                _ => {
-                    run = 1.0;
-                    merged.push((x, s));
-                }
-            }
-        }
-        Self::new(merged)
-    }
-
     /// The interpolation knots, sorted by size.
     pub fn knots(&self) -> &[(f64, f64)] {
         &self.points
@@ -259,19 +237,6 @@ mod tests {
         let f = PiecewiseLinearSpeed::new(vec![(1.0, 10.0), (2.0, 11.0)]).unwrap();
         assert!(f.speed(1.5) > 10.0);
         assert!(check_single_intersection(&f, 0.5, 3.0, 100).is_ok());
-    }
-
-    #[test]
-    fn from_measurements_sorts_and_merges() {
-        let f = PiecewiseLinearSpeed::from_measurements(vec![
-            (1e6, 180.0),
-            (100.0, 199.0),
-            (100.0, 201.0),
-            (1e8, 0.0),
-        ])
-        .unwrap();
-        assert_eq!(f.len(), 3);
-        assert!((f.speed(100.0) - 200.0).abs() < 1e-9, "duplicates averaged");
     }
 
     #[test]

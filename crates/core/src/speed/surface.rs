@@ -130,11 +130,6 @@ impl ColumnStrips {
     pub fn areas(&self) -> Vec<u64> {
         self.widths.iter().map(|&w| w * self.n1).collect()
     }
-
-    /// Total columns covered.
-    pub fn total_width(&self) -> u64 {
-        self.widths.iter().sum()
-    }
 }
 
 /// Partitions an `n1×n2` rectangular domain into column strips whose areas
@@ -246,7 +241,7 @@ mod tests {
         ];
         let strips =
             partition_column_strips(500, 800, &surfaces, &CombinedPartitioner::new()).unwrap();
-        assert_eq!(strips.total_width(), 800);
+        assert_eq!(strips.widths.iter().sum::<u64>(), 800);
         assert_eq!(strips.widths, vec![600, 200]);
         assert_eq!(strips.areas(), vec![300_000, 100_000]);
     }
@@ -261,7 +256,7 @@ mod tests {
         ];
         let strips =
             partition_column_strips(1000, 1000, &surfaces, &CombinedPartitioner::new()).unwrap();
-        assert_eq!(strips.total_width(), 1000);
+        assert_eq!(strips.widths.iter().sum::<u64>(), 1000);
         let areas = strips.areas();
         // Far less than proportional-to-peak (300:60 would give 833k) …
         assert!(areas[0] < 400_000, "paging machine must not be overloaded: {areas:?}");

@@ -1,6 +1,5 @@
 //! Simulated heterogeneous clusters.
 
-use fpm_core::speed::SpeedFunction;
 use fpm_simnet::machine::MachineSpec;
 use fpm_simnet::profile::AppProfile;
 use fpm_simnet::speed_model::MachineSpeed;
@@ -58,14 +57,6 @@ impl SimCluster {
     pub fn funcs(&self) -> &[MachineSpeed] {
         &self.funcs
     }
-
-    /// Speeds of all machines at a common problem size — what the
-    /// single-number model samples (paper §3.2: "the speeds used in the
-    /// single number model are obtained based on the fact that all the
-    /// processors … solve problems of the same size").
-    pub fn speeds_at(&self, x: f64) -> Vec<f64> {
-        self.funcs.iter().map(|f| f.speed(x)).collect()
-    }
 }
 
 #[cfg(test)]
@@ -79,17 +70,5 @@ mod tests {
         assert!(!c.is_empty());
         assert_eq!(c.names()[0], "X1");
         assert_eq!(c.app(), AppProfile::MatrixMult);
-    }
-
-    #[test]
-    fn speeds_at_returns_per_machine_speeds() {
-        let c = SimCluster::table1(AppProfile::MatrixMultAtlas);
-        let speeds = c.speeds_at(1e6);
-        assert_eq!(speeds.len(), 4);
-        assert!(speeds.iter().all(|&s| s > 0.0));
-        // Machines differ.
-        let max = speeds.iter().cloned().fold(0.0, f64::max);
-        let min = speeds.iter().cloned().fold(f64::INFINITY, f64::min);
-        assert!(max > min * 1.5, "heterogeneous speeds expected: {speeds:?}");
     }
 }

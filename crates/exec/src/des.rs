@@ -69,11 +69,6 @@ impl Timeline {
     pub fn bus_busy(&self) -> f64 {
         self.bus_busy_total
     }
-
-    /// Completion time of processor `p`.
-    pub fn finish_of(&self, p: usize) -> f64 {
-        self.proc_free[p]
-    }
 }
 
 /// In which order the master serves the workers' input transfers.
@@ -207,10 +202,10 @@ mod tests {
     fn transfers_overlap_with_unrelated_compute() {
         let mut tl = Timeline::new(3);
         tl.transfer(0, 1, 2.0); // bus busy 0–2
-        tl.compute(1, 10.0); // proc 1 computes 2–12
+        let done = tl.compute(1, 10.0); // proc 1 computes 2–12
         let t = tl.transfer(0, 2, 2.0); // bus free at 2, proc 0 free at 2
         assert_eq!(t, 4.0, "proc 2's data arrives while proc 1 computes");
-        assert_eq!(tl.finish_of(1), 12.0);
+        assert_eq!(done, 12.0);
     }
 
     #[test]

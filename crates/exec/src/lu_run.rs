@@ -207,7 +207,7 @@ mod tests {
         let n = 512u64;
         let owners = vec![0usize; 16];
         let r = simulate_lu(n, 32, &owners, &funcs).unwrap();
-        let expected = workload::lu_flops(n) / (100.0 * 1e6);
+        let expected = 2.0 / 3.0 * (n as f64).powi(3) / (100.0 * 1e6);
         let rel = (r.total_seconds - expected).abs() / expected;
         assert!(rel < 0.25, "simulated {} vs analytic {}", r.total_seconds, expected);
     }

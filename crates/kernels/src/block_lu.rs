@@ -15,7 +15,6 @@ use crate::matrix::Matrix;
 #[derive(Debug, Clone, PartialEq)]
 pub struct BlockMatrix {
     n: usize,
-    b: usize,
     blocks: Vec<Matrix>,
 }
 
@@ -32,7 +31,7 @@ impl BlockMatrix {
             blocks.push(Matrix::from_fn(n, w, |i, j| a[(i, c0 + j)]));
             c0 += w;
         }
-        Self { n, b, blocks }
+        Self { n, blocks }
     }
 
     /// Reassembles the dense matrix.
@@ -58,11 +57,6 @@ impl BlockMatrix {
     /// Number of column blocks.
     pub fn block_count(&self) -> usize {
         self.blocks.len()
-    }
-
-    /// Nominal block width.
-    pub fn block_width(&self) -> usize {
-        self.b
     }
 }
 

@@ -26,16 +26,6 @@ impl Matrix {
         m
     }
 
-    /// Matrix from a row-major vector.
-    ///
-    /// # Panics
-    ///
-    /// If `data.len() != rows*cols`.
-    pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
-        assert_eq!(data.len(), rows * cols, "data length must be rows*cols");
-        Self { rows, cols, data }
-    }
-
     /// Matrix whose entry `(i, j)` is `f(i, j)`.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -109,11 +99,6 @@ impl Matrix {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
-    /// The underlying row-major storage.
-    pub fn as_slice(&self) -> &[f64] {
-        &self.data
-    }
-
     /// Mutable slices of the row block `[r0, r1)`, useful for handing
     /// disjoint stripes to worker threads.
     pub fn stripe_mut(&mut self, r0: usize, r1: usize) -> &mut [f64] {
@@ -154,12 +139,6 @@ impl Matrix {
             .zip(&other.data)
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
-    }
-
-    /// The square sub-matrix `rows × cols` starting at `(r, c)`.
-    pub fn submatrix(&self, r: usize, c: usize, rows: usize, cols: usize) -> Matrix {
-        assert!(r + rows <= self.rows && c + cols <= self.cols);
-        Matrix::from_fn(rows, cols, |i, j| self[(r + i, c + j)])
     }
 }
 
@@ -219,20 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn from_vec_round_trip() {
-        let m = Matrix::from_vec(2, 2, vec![1.0, 2.0, 3.0, 4.0]);
-        assert_eq!(m[(0, 1)], 2.0);
-        assert_eq!(m[(1, 0)], 3.0);
-        assert_eq!(m.as_slice(), &[1.0, 2.0, 3.0, 4.0]);
-    }
-
-    #[test]
-    #[should_panic(expected = "rows*cols")]
-    fn from_vec_checks_length() {
-        Matrix::from_vec(2, 2, vec![1.0]);
-    }
-
-    #[test]
     fn transpose_round_trip() {
         let m = Matrix::random(3, 5, 42);
         assert_eq!(m.transpose().transpose(), m);
@@ -263,14 +228,6 @@ mod tests {
         assert_eq!(stripes[0], &[0.0, 0.0]);
         assert_eq!(stripes[1], &[1.0, 1.0, 2.0, 2.0]);
         assert_eq!(stripes[2], &[3.0, 3.0]);
-    }
-
-    #[test]
-    fn submatrix_extracts_block() {
-        let m = Matrix::from_fn(4, 4, |i, j| (i * 10 + j) as f64);
-        let s = m.submatrix(1, 2, 2, 2);
-        assert_eq!(s[(0, 0)], 12.0);
-        assert_eq!(s[(1, 1)], 23.0);
     }
 
     #[test]

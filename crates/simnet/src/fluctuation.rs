@@ -56,9 +56,6 @@ pub struct FluctuatingMeasurer<F> {
     truth: F,
     law: WidthLaw,
     rng: ChaCha8Rng,
-    /// Constant speed decrease from persistent heavy load (the paper's
-    /// band *shift*), in speed units.
-    load_shift: f64,
     /// Observation count after which the machine "dies": every later
     /// observation reads zero speed.
     death_after: Option<usize>,
@@ -74,19 +71,10 @@ impl<F: SpeedFunction> FluctuatingMeasurer<F> {
             truth,
             law,
             rng: ChaCha8Rng::seed_from_u64(seed),
-            load_shift: 0.0,
             death_after: None,
             measurements: 0,
             cost_seconds: 0.0,
         }
-    }
-
-    /// Adds a persistent heavy load: shifts the band down by `delta` speed
-    /// units at constant width.
-    pub fn with_load_shift(mut self, delta: f64) -> Self {
-        assert!(delta.is_finite() && delta >= 0.0);
-        self.load_shift = delta;
-        self
     }
 
     /// Kills the machine after `k` observations: observation `k+1` and all
@@ -103,7 +91,7 @@ impl<F: SpeedFunction> FluctuatingMeasurer<F> {
             self.measurements += 1;
             return 0.0;
         }
-        let s = (self.truth.speed(x) - self.load_shift).max(0.0);
+        let s = self.truth.speed(x).max(0.0);
         let half = self.law.width_at(x) / 2.0;
         let u: f64 = self.rng.gen_range(-1.0..=1.0);
         let observed = (s * (1.0 + half * u)).max(0.0);
@@ -184,23 +172,6 @@ mod tests {
             let s = m.observe(1e4);
             assert!((94.9..=105.1).contains(&s), "observation {s} outside ±5 %");
         }
-    }
-
-    #[test]
-    fn load_shift_lowers_mean_keeps_width() {
-        let truth = AnalyticSpeed::constant(100.0);
-        let mut base = FluctuatingMeasurer::new(truth.clone(), WidthLaw::Constant(0.10), 5);
-        let mut shifted =
-            FluctuatingMeasurer::new(truth, WidthLaw::Constant(0.10), 5).with_load_shift(30.0);
-        let mean = |m: &mut FluctuatingMeasurer<AnalyticSpeed>| {
-            (0..400).map(|_| m.observe(1e4)).sum::<f64>() / 400.0
-        };
-        let mb = mean(&mut base);
-        let ms = mean(&mut shifted);
-        // Band shifts down by ~30 (relative width now applies to the
-        // shifted level, so the absolute width shrinks slightly — the
-        // paper's observation is qualitative).
-        assert!((mb - ms - 30.0).abs() < 3.0, "means {mb} vs {ms}");
     }
 
     #[test]

@@ -95,11 +95,6 @@ impl MachineSpeed {
         self.sustained_mflops
     }
 
-    /// Supremum of the curve: the in-cache peak.
-    pub fn peak_mflops(&self) -> f64 {
-        self.sustained_mflops * (1.0 + self.cache_boost)
-    }
-
     /// Problem size (elements) at which paging starts — the point *P* of
     /// paper Fig. 1.
     pub fn paging_point(&self) -> f64 {

@@ -7,8 +7,6 @@
 //!   sizes for both applications.
 
 use crate::machine::{Arch, MachineSpec};
-use crate::profile::AppProfile;
-use crate::speed_model::MachineSpeed;
 
 /// The four heterogeneous computers of paper Table 1.
 ///
@@ -80,15 +78,17 @@ pub fn table2() -> Vec<MachineSpec> {
     ]
 }
 
-/// Speed models for every machine of a testbed running `app`.
-pub fn speed_models(specs: &[MachineSpec], app: AppProfile) -> Vec<MachineSpeed> {
-    specs.iter().map(|m| MachineSpeed::for_app(m, app)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::profile::AppProfile;
+    use crate::speed_model::MachineSpeed;
     use fpm_core::speed::{check_single_intersection, SpeedFunction};
+
+    /// Speed models for every machine of a testbed running `app`.
+    fn speed_models(specs: &[MachineSpec], app: AppProfile) -> Vec<MachineSpeed> {
+        specs.iter().map(|m| MachineSpeed::for_app(m, app)).collect()
+    }
 
     #[test]
     fn table1_has_four_machines() {

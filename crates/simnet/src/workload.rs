@@ -12,43 +12,15 @@ pub fn mm_elements(n: u64) -> u64 {
     3 * n * n
 }
 
-/// Elements stored by the multiplication of `n1×n2` by `n2×n1` matrices
-/// (the non-square shape of paper Fig. 16b, Table 3): `2·n1·n2 + n1²`.
-pub fn mm_elements_rect(n1: u64, n2: u64) -> u64 {
-    2 * n1 * n2 + n1 * n1
-}
-
 /// Elements stored by LU factorisation of an `n×n` matrix: `n²`.
 pub fn lu_elements(n: u64) -> u64 {
     n * n
-}
-
-/// Elements stored by LU factorisation of an `n1×n2` panel (Table 4,
-/// Fig. 17c): `n1·n2`.
-pub fn lu_elements_rect(n1: u64, n2: u64) -> u64 {
-    n1 * n2
 }
 
 /// Matrix dimension whose square MM problem has (approximately) the given
 /// element count: inverse of [`mm_elements`].
 pub fn mm_dimension(elements: f64) -> f64 {
     (elements / 3.0).max(0.0).sqrt()
-}
-
-/// Matrix dimension whose LU problem has the given element count.
-pub fn lu_dimension(elements: f64) -> f64 {
-    elements.max(0.0).sqrt()
-}
-
-/// Volume of computation in the paper's MFlops formula: `MF·n³` with
-/// `MF = 2` for matrix multiplication.
-pub fn mm_flops(n: u64) -> f64 {
-    2.0 * (n as f64).powi(3)
-}
-
-/// Volume of computation for LU factorisation: `MF = 2/3`.
-pub fn lu_flops(n: u64) -> f64 {
-    2.0 / 3.0 * (n as f64).powi(3)
 }
 
 #[cfg(test)]
@@ -62,37 +34,9 @@ mod tests {
     }
 
     #[test]
-    fn rect_mm_matches_square_when_square() {
-        assert_eq!(mm_elements_rect(100, 100), mm_elements(100));
-    }
-
-    #[test]
-    fn rect_conserves_equal_element_counts() {
-        // Table 3's pairs: 1024×1024 vs 512×2048 etc. have equal element
-        // counts in A and B but the C matrix differs (n1²); what matches is
-        // 2·n1·n2 = const for n1·n2 = const.
-        let a = mm_elements_rect(512, 2048);
-        let b = mm_elements_rect(1024, 1024);
-        // 2·n1·n2 identical; C differs by n1² term.
-        assert_eq!(a - 512 * 512, b - 1024 * 1024);
-    }
-
-    #[test]
     fn dimensions_invert_elements() {
         let n = 4500u64;
         assert!((mm_dimension(mm_elements(n) as f64) - n as f64).abs() < 1e-6);
-        assert!((lu_dimension(lu_elements(n) as f64) - n as f64).abs() < 1e-6);
-    }
-
-    #[test]
-    fn flops_formulas() {
-        assert_eq!(mm_flops(10), 2000.0);
-        assert!((lu_flops(10) - 2000.0 / 3.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn lu_rect() {
-        assert_eq!(lu_elements_rect(512, 32768), 512 * 32768);
-        assert_eq!(lu_elements(1024), 1024 * 1024);
+        assert_eq!((lu_elements(n) as f64).sqrt(), n as f64);
     }
 }

@@ -33,7 +33,7 @@ use fpm_core::cost::{CostFunction, QueryCost, SortCost};
 use fpm_core::partition::bounded::partition_bounded;
 use fpm_core::partition::{
     fine_tune, oracle, BisectionPartitioner, CombinedPartitioner, Distribution,
-    ModifiedPartitioner, PartitionReport, Partitioner, RoundingVariant, SingleNumberPartitioner,
+    ModifiedPartitioner, PartitionReport, Partitioner, SingleNumberPartitioner,
     DEFAULT_QUERY_GAMMA,
 };
 use fpm_core::planner::{erase, registry, AlgorithmInfo, CostClass, TraceBound};
@@ -709,6 +709,44 @@ fn greedy_residue<F: CostFunction>(
     Some(counts)
 }
 
+/// The single-number baseline's plan by the naive `O(p²)` residue loop of
+/// its reference \[6\], from the baseline's proportional floors (scaled
+/// when the speeds sum to ∞, each capped at what is left of `n`): each
+/// element goes to the machine with the smallest `(x_i + 1)/s_i` by
+/// `total_cmp`, ties to the lower index. `None` where the baseline must
+/// return an error.
+fn naive_single_number(n: u64, speeds: &[f64]) -> Option<Vec<u64>> {
+    if speeds.is_empty() || speeds.iter().any(|s| !(s.is_finite() && *s >= 0.0)) {
+        return None;
+    }
+    let total: f64 = speeds.iter().sum();
+    if total <= 0.0 {
+        return None;
+    }
+    let scale = if total.is_infinite() { 2f64.powi(-128) } else { 1.0 };
+    let total: f64 = speeds.iter().map(|&s| s * scale).sum();
+    let mut assigned = 0u64;
+    let mut counts: Vec<u64> = speeds
+        .iter()
+        .map(|&s| {
+            let floor = ((n as f64 * (s * scale) / total).floor() as u64).min(n - assigned);
+            assigned += floor;
+            floor
+        })
+        .collect();
+    for _ in assigned..n {
+        let (_, best) = counts
+            .iter()
+            .zip(speeds)
+            .enumerate()
+            .filter(|&(_, (_, &s))| s > 0.0)
+            .map(|(i, (&c, &s))| (c.saturating_add(1) as f64 / s, i))
+            .min_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)))?;
+        counts[best] += 1;
+    }
+    Some(counts)
+}
+
 /// A constant speed whose time is NaN, of either sign, at some counts and
 /// infinite past a size.
 struct Patchy {
@@ -739,13 +777,63 @@ fn tune_run<F: CostFunction>(input: String, n: u64, funcs: &[F], lo: &[f64]) -> 
     (input, "fine-tune", Some(plan), greedy_residue(n, funcs, lo, None))
 }
 
+/// The single-number baseline on explicit speeds against its naive loop.
+fn single_number_run(input: String, n: u64, speeds: &[f64]) -> ResidueRun {
+    let plan = SingleNumberPartitioner::at_size(1.0).partition_with_speeds(n, speeds);
+    let plan = plan.ok().map(|d| d.counts().to_vec());
+    (input, "single-number", plan, naive_single_number(n, speeds))
+}
+
+/// The single-number baseline's fixed inputs: subnormal speeds, whose
+/// times overflow to ∞; speeds near `f64::MAX`, whose sum does; and sizes
+/// from 2⁵³ to `u64::MAX`, where `n as f64` rounds (up, at 2⁶⁰ − 1 and
+/// `u64::MAX` − 1), so the floors can sum past `n`.
+fn single_number_extremes() -> Vec<ResidueRun> {
+    let extreme_speeds: [&[f64]; 5] = [
+        &[1e-310, 1e-310],
+        &[5e-324, 1e-310, 2.5e-308],
+        &[1e-310, 1.0, 0.0],
+        &[f64::MAX, f64::MAX / 3.0, 1.0],
+        &[f64::MAX, 5e-324],
+    ];
+    let rounding_sizes: [(u64, &[f64]); 8] = [
+        ((1 << 53) + 1, &[3.0, 1.0]),
+        ((1 << 60) - 1, &[3.0, 1.0]),
+        ((1 << 60) - 1, &[1.0, 1.0, 1.0]),
+        (u64::MAX - 1, &[1.0]),
+        (u64::MAX - 1, &[1.0, 1.0]),
+        (u64::MAX, &[1.0]),
+        (u64::MAX, &[5.0, 1.0]),
+        (1 << 53, &[f64::MAX, f64::MAX]),
+    ];
+    extreme_speeds
+        .into_iter()
+        .flat_map(|speeds| [1u64, 2, 3, 17, 1000, 1 << 40].map(|n| (n, speeds)))
+        .chain(rounding_sizes)
+        .map(|(n, speeds)| single_number_run(format!("speeds {speeds:?} n={n}"), n, speeds))
+        .collect()
+}
+
+/// The failures among `runs`: every plan that differs from its reference.
+fn residue_failures(seed: u64, runs: Vec<ResidueRun>) -> impl Iterator<Item = CaseFailure> {
+    runs.into_iter().filter(|(_, _, got, want)| got != want).map(
+        move |(descriptor, algorithm, got, want)| CaseFailure {
+            seed,
+            algorithm,
+            descriptor,
+            message: format!("plan {got:?}, naive greedy {want:?}"),
+        },
+    )
+}
+
 /// Differentially pins the residue assignment on inputs derived from
 /// `seed`: [`fine_tune`], [`partition_bounded`] (fine-tuning under caps)
-/// and the single-number baseline's default heap variant must return
+/// and [`SingleNumberPartitioner::partition_with_speeds`] must return
 /// exactly the plans of a naive greedy that hands out one element at a
 /// time to the machine with the smallest time after taking it, ties to the
-/// lower index (for the baseline, its naive variant). The bounded report
-/// must also carry the naive plan's makespan bits.
+/// lower index (for the baseline, the naive `O(p²)` loop of its reference
+/// \[6\] from the same floors). The bounded report must also carry the
+/// naive plan's makespan bits.
 ///
 /// The inputs reach both paths of the residue routine. The real optimum as
 /// the bracket of the generated cluster leaves fewer elements than
@@ -754,7 +842,8 @@ fn tune_run<F: CostFunction>(input: String, n: u64, funcs: &[F], lo: &[f64]) -> 
 /// faster than the others must take several of `r ≤ p` elements. Equal
 /// speeds tie the keys, and NaN or infinite times at some counts test the
 /// key order. The baseline also runs at sizes up to 2⁶⁰, where rounding
-/// can leave a residue beyond `p`. The bounded solver's naive plan starts
+/// can leave a residue beyond `p`, and on up to 300 machines with speed
+/// ratios up to 10⁴. The bounded solver's naive plan starts
 /// from zero: with strictly increasing times every element below the
 /// floors of a steep bounding line is cheaper than every element above
 /// them, so the plan from zero is the plan from any steep line's floors.
@@ -835,40 +924,37 @@ pub fn check_residue(seed: u64, gen: &GenConfig) -> Vec<CaseFailure> {
     let m_nan = lo.iter().sum::<f64>() as u64 + rng.gen_range(1..=2 * q as u64);
     runs.push(tune_run(format!("nan q={q} n={m_nan}"), m_nan, &patchy, &lo));
 
-    // The single-number baseline: heap variant against the naive one.
+    // The single-number baseline against its naive loop.
     let share = (n as f64 / p as f64).max(1.0);
     let sampled: Vec<f64> =
         funcs.iter().map(|f| CostFunction::throughput(f, share).max(0.0)).collect();
     let huge = 2f64.powf(rng.gen_range(53.0..=60.0)) as u64;
     let tied = vec![equal[0].speed; q];
+    let wide_p = rng.gen_range(1..=300usize);
+    let ratio = 10f64.powf(rng.gen_range(0.0..=4.0));
+    let spread: Vec<f64> = (0..wide_p).map(|_| rng.gen_range(1.0..=ratio)).collect();
+    let m_spread = 2f64.powf(rng.gen_range(0.0..=60.0)) as u64;
     for (input, m, speeds) in [
         (format!("{d} sampled at n/p"), n, &sampled),
         (format!("{d} sampled at n/p, n={huge}"), huge, &sampled),
         (format!("1000:1 q={q} n={m_pair}"), m_pair, &pair),
         (format!("ties q={q} n={m_ties}"), m_ties, &tied),
+        (format!("p={wide_p} ratio {ratio:.1} n={m_spread}"), m_spread, &spread),
     ] {
-        let [naive, heap] = [RoundingVariant::Naive, RoundingVariant::Heap].map(|variant| {
-            let partitioner = SingleNumberPartitioner::at_size(1.0).with_variant(variant);
-            partitioner.partition_with_speeds(m, speeds).ok().map(|d| d.counts().to_vec())
-        });
-        runs.push((input, "single-number", heap, naive));
+        runs.push(single_number_run(input, m, speeds));
     }
 
-    failures.extend(runs.into_iter().filter(|(_, _, got, want)| got != want).map(
-        |(descriptor, algorithm, got, want)| CaseFailure {
-            seed,
-            algorithm,
-            descriptor,
-            message: format!("plan {got:?}, naive greedy {want:?}"),
-        },
-    ));
+    failures.extend(residue_failures(seed, runs));
     failures
 }
 
-/// Runs the residue differential ([`check_residue`]) over seeded clusters.
+/// Runs the residue differential ([`check_residue`]) over seeded clusters,
+/// and once over the single-number baseline's fixed extreme inputs
+/// (reported under `base_seed`).
 pub fn run_residue_sweep(config: &ConformanceConfig) -> ConformanceReport {
     let cases = if config.cases == 0 { 300 } else { config.cases };
     let mut report = ConformanceReport::default();
+    report.failures.extend(residue_failures(config.base_seed, single_number_extremes()));
     for i in 0..cases {
         let seed = config.base_seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
         report.failures.extend(check_residue(seed, &config.gen));

@@ -183,35 +183,4 @@ proptest! {
         let expected: f64 = weights.iter().sum();
         prop_assert!((total - expected).abs() < 1e-6 * expected.max(1.0));
     }
-
-    #[test]
-    fn hierarchical_models_partition_cleanly(
-        sustained in 20.0f64..300.0,
-        l1 in 1e3f64..1e4,
-        boost in 0.0f64..2.0,
-        n in 1_000u64..10_000_000,
-    ) {
-        use fpm_core::speed::{HierarchicalSpeed, MemoryLevel};
-        let f = HierarchicalSpeed::new(
-            sustained,
-            256.0,
-            vec![
-                MemoryLevel::new(l1, boost, 4.0),
-                MemoryLevel::new(l1 * 16.0, boost / 2.0, 4.0),
-            ],
-            Some(l1 * 1e4),
-        )
-        .unwrap();
-        prop_assert!(
-            fpm_core::speed::check_single_intersection(&f, 16.0, l1 * 2e4, 200).is_ok()
-        );
-        let funcs = vec![f, HierarchicalSpeed::new(
-            sustained * 0.5,
-            256.0,
-            vec![MemoryLevel::new(l1 * 2.0, boost, 4.0)],
-            None,
-        ).unwrap()];
-        let r = CombinedPartitioner::new().partition(n, &funcs).unwrap();
-        prop_assert_eq!(r.distribution.total(), n);
-    }
 }
